@@ -14,12 +14,15 @@ knobs do.  Schema (see README for details):
     [grid]      n, length
     [coupling]  a11, a12, a13, a22, a23, a33, p
     [masses]    r, s, t
-    [solver]    tau, max_iters, residual_tol, energy_tol, rearrange_every,
-                seed, init, scheme, noise, refine          (all optional)
+    [solver]    tau, max_iters, residual_tol, energy_tol, seed, init,
+                init_profile, scheme, noise                (all optional)
     [evolution] T, dt, snapshot_every
     [stability] kind, delta, eps, seeds, sample_every      (eps optional)
     [subadd]    splits        e.g.  splits = 2,0,0 ; 1,0.5,0
-    [output]    dir, formats                               (optional)
+    [output]    dir                                        (optional)
+
+Every ground state is one `minimize` call.  Only `#` starts an inline
+comment: `;` separates subadd splits.
 
 All scalar results go to JSON, field data to CSV.  Outputs are byte-identical
 across runs for a fixed config and seed; the wall-clock timestamp lives in a
@@ -46,9 +49,8 @@ import numpy as np
 
 from . import __version__
 from .evolution import BlowUpError, evolve
-from .ground_state import (ConvergenceError, DivergenceError, GroundState,
-                           SolverConfig, minimize, refine_fixed_point,
-                           subadditivity_check)
+from .ground_state import (ConvergenceError, GroundState, SolverConfig,
+                           minimize, refine_fixed_point, subadditivity_check)
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     el_residual, energy, energy_gradient, random_smooth_state,
                     sech_profile)
@@ -66,33 +68,34 @@ class RunConfig:
     model: CouplingModel
     masses: MassTriple
     solver: SolverConfig
-    refine: bool
     evolution: Optional[dict]
     stability: Optional[dict]
     subadd_splits: Optional[tuple]
     out_dir: str
-    formats: tuple
 
 
 _SCHEMA = {
     "grid": {"n", "length"},
     "coupling": {"a11", "a12", "a13", "a22", "a23", "a33", "p"},
     "masses": {"r", "s", "t"},
-    "solver": {"tau", "max_iters", "residual_tol", "energy_tol",
-               "rearrange_every", "seed", "init", "init_profile", "scheme",
-               "noise", "refine"},
+    "solver": {"tau", "max_iters", "residual_tol", "energy_tol", "seed",
+               "init", "init_profile", "scheme", "noise"},
     "evolution": {"t", "dt", "snapshot_every"},
     "stability": {"kind", "delta", "eps", "seeds", "sample_every"},
     "subadd": {"splits"},
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 _REQUIRED = ("grid", "coupling", "masses")
 
 
-def _get(section, key, conv, what):
+def _get(section, key, conv, what, default=...):
+    """section[key] converted by `conv`; `default` when absent (required
+    when no default is given).  Bad values raise a ConfigError naming it."""
     raw = section.get(key)
     if raw is None:
-        raise ConfigError(f"missing required key {what}.{key}")
+        if default is ...:
+            raise ConfigError(f"missing required key {what}.{key}")
+        return default
     try:
         return conv(raw)
     except ValueError as err:
@@ -118,7 +121,7 @@ def _parse_splits(raw: str) -> tuple:
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -160,7 +163,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ConfigError(f"masses: {err}") from err
 
     defaults = SolverConfig()
-    refine = True
     if "solver" in parser:
         s = parser["solver"]
         initial_state = None
@@ -170,25 +172,18 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
                 raise ConfigError("solver.init = supplied requires solver.init_profile")
             try:
                 initial_state = read_profile_csv(Path(profile_path), grid)
-            except OSError as err:
+            except (OSError, ValueError) as err:
                 raise ConfigError(
                     f"cannot read solver.init_profile {profile_path!r}: {err}") from err
+        convs = {"tau": float, "max_iters": int, "residual_tol": float,
+                 "energy_tol": float, "seed": int, "init": str,
+                 "scheme": str, "noise": float}
+        knobs = {k: _get(s, k, conv, "solver", getattr(defaults, k))
+                 for k, conv in convs.items()}
         try:
-            solver = SolverConfig(
-                tau=float(s.get("tau", defaults.tau)),
-                max_iters=int(s.get("max_iters", defaults.max_iters)),
-                residual_tol=float(s.get("residual_tol", defaults.residual_tol)),
-                energy_tol=float(s.get("energy_tol", defaults.energy_tol)),
-                rearrange_every=int(s.get("rearrange_every", defaults.rearrange_every)),
-                seed=int(s.get("seed", defaults.seed)),
-                init=s.get("init", defaults.init),
-                initial_state=initial_state,
-                scheme=s.get("scheme", defaults.scheme),
-                noise=float(s.get("noise", defaults.noise)),
-            )
+            solver = SolverConfig(initial_state=initial_state, **knobs)
         except ValueError as err:
             raise ConfigError(f"solver: {err}") from err
-        refine = s.getboolean("refine", fallback=True)
     else:
         solver = defaults
     if seed_override is not None:
@@ -200,7 +195,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         evolution = {
             "T": _get(e, "t", float, "evolution"),
             "dt": _get(e, "dt", float, "evolution"),
-            "snapshot_every": int(e.get("snapshot_every", 0)),
+            "snapshot_every": _get(e, "snapshot_every", int, "evolution", 0),
         }
         if evolution["dt"] == 0:
             raise ConfigError("invalid value for evolution.dt: must be non-zero")
@@ -217,17 +212,14 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             raise ConfigError(
                 f"invalid value for stability.kind: {kind!r} "
                 f"(choose from {', '.join(PERTURBATION_KINDS)})")
-        delta = _get(st, "delta", float, "stability")
-        eps = float(st["eps"]) if "eps" in st else None
-        try:
-            seeds = tuple(int(x) for x in st.get("seeds", "0").split(","))
-        except ValueError as err:
-            raise ConfigError(f"invalid value for stability.seeds") from err
+        seeds = _get(st, "seeds", lambda raw: tuple(int(x) for x in raw.split(",")),
+                     "stability", (0,))
         if seed_override is not None:
             seeds = (seed_override,)
         stability = {
-            "kind": kind, "delta": delta, "eps": eps, "seeds": seeds,
-            "sample_every": int(st.get("sample_every", 100)),
+            "kind": kind, "delta": _get(st, "delta", float, "stability"),
+            "eps": _get(st, "eps", float, "stability", None), "seeds": seeds,
+            "sample_every": _get(st, "sample_every", int, "stability", 100),
         }
 
     subadd_splits = None
@@ -235,14 +227,12 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         subadd_splits = _parse_splits(_get(parser["subadd"], "splits", str, "subadd"))
 
     out_dir = "out"
-    formats = ("json", "csv")
     if "output" in parser:
         out_dir = parser["output"].get("dir", out_dir)
-        formats = tuple(f.strip() for f in parser["output"].get("formats", "json,csv").split(","))
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
-                     refine=refine, evolution=evolution, stability=stability,
-                     subadd_splits=subadd_splits, out_dir=out_dir, formats=formats)
+                     evolution=evolution, stability=stability,
+                     subadd_splits=subadd_splits, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +324,6 @@ def write_trace_csv(path: Path, trace) -> None:
 
 def _solve_ground_state(cfg: RunConfig, quiet: bool) -> GroundState:
     gs = minimize(cfg.model, cfg.masses, cfg.grid, cfg.solver)
-    if cfg.refine:
-        try:
-            gs = refine_fixed_point(gs.profile, cfg.model, cfg.masses)
-        except DivergenceError:
-            if not quiet:
-                print("note: fixed-point polish diverged; keeping flow result")
     if not quiet:
         print(f"lambda = {gs.lam:.10f}  residual = {gs.residual:.3e}  "
               f"iterations = {gs.iterations}")
@@ -349,7 +333,7 @@ def _solve_ground_state(cfg: RunConfig, quiet: bool) -> GroundState:
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     try:
         gs = _solve_ground_state(cfg, quiet)
-    except (ConvergenceError, DivergenceError) as err:
+    except ConvergenceError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 2
     write_groundstate_json(out / "groundstate.json", gs, cfg.model)
@@ -403,7 +387,7 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
         return 1
     try:
         gs = _solve_ground_state(cfg, quiet)
-    except (ConvergenceError, DivergenceError) as err:
+    except ConvergenceError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 2
     st = cfg.stability
@@ -438,23 +422,32 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
         print("config error: [subadd] section required for subadd", file=sys.stderr)
         return 1
     total = cfg.masses
-    rows = []
+    parts = []
     for split in cfg.subadd_splits:
         rest = (total.r - split[0], total.s - split[1], total.t - split[2])
         if min(rest) < -1e-12:
             print(f"config error: split {split} exceeds total masses",
                   file=sys.stderr)
             return 1
-        rest = tuple(max(v, 0.0) for v in rest)
         try:
-            result = subadditivity_check(cfg.model, MassTriple(*split),
-                                         MassTriple(*rest), cfg.grid, cfg.solver)
-        except (ConvergenceError, DivergenceError) as err:
-            print(f"sub-solve failed for split {split}: {err}", file=sys.stderr)
-            return 2
+            parts.append((MassTriple(*split),
+                          MassTriple(*(max(v, 0.0) for v in rest))))
         except ValueError as err:
             print(f"config error: invalid split {split}: {err}", file=sys.stderr)
             return 1
+    try:
+        lam_total = minimize(cfg.model, total, cfg.grid, cfg.solver).lam
+    except ConvergenceError as err:
+        print(f"solve failed for the total masses: {err}", file=sys.stderr)
+        return 2
+    rows = []
+    for split, (part1, part2) in zip(cfg.subadd_splits, parts):
+        try:
+            result = subadditivity_check(cfg.model, part1, part2, cfg.grid,
+                                         cfg.solver, lam_total=lam_total)
+        except ConvergenceError as err:
+            print(f"sub-solve failed for split {split}: {err}", file=sys.stderr)
+            return 2
         rows.append(result)
         if not quiet:
             print(f"split {split}: margin = {result.margin:.6f} "
@@ -475,7 +468,7 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def _validate_checks(quiet: bool):
+def _validate_checks():
     """Built-in oracle suite; yields (name, passed, detail)."""
     # closed-form residuals on a wide box (truncation floor ~1e-12)
     wide = make_grid(2048, 64.0)
@@ -495,16 +488,19 @@ def _validate_checks(quiet: bool):
                       CouplingModel(np.ones((3, 3)), p=2.0))
     yield ("equal-coupling triple residual", res <= 1e-9, f"residual {res:.2e}")
 
-    # lambda(r,0,0) = -r^3/48 with omega = (r/4)^2
+    # lambda(r,0,0) = -r^3/48, omega = (r/4)^2; the polish must keep lambda
     for r, (n, L) in ((1.0, (2048, 160.0)), (2.0, (1024, 80.0)), (4.0, (1024, 40.0))):
         grid_r = make_grid(n, L)
-        gs = minimize(model1, MassTriple(r, 0.0, 0.0), grid_r, SolverConfig())
-        gs = refine_fixed_point(gs.profile, model1, MassTriple(r, 0.0, 0.0))
+        masses = MassTriple(r, 0.0, 0.0)
+        gs = minimize(model1, masses, grid_r, SolverConfig())
+        polished = refine_fixed_point(gs.profile, model1, masses)
         lam_exact = -r ** 3 / 48
         ok = (abs(gs.lam - lam_exact) <= 1e-5 * abs(lam_exact)
-              and abs(gs.multipliers.w1 - (r / 4) ** 2) <= 1e-6)
+              and abs(gs.multipliers.w1 - (r / 4) ** 2) <= 1e-6
+              and abs(polished.lam - gs.lam) <= 1e-10 * abs(lam_exact))
         yield (f"lambda({r:g},0,0) closed form", ok,
-               f"lambda {gs.lam:.8f} vs {lam_exact:.8f}, w1 {gs.multipliers.w1:.8f}")
+               f"lambda {gs.lam:.8f} vs {lam_exact:.8f}, w1 {gs.multipliers.w1:.8f}, "
+               f"polish moved lambda by {abs(polished.lam - gs.lam):.1e}")
 
     # gradient vs centered finite differences
     rng = np.random.default_rng(42)
@@ -527,7 +523,7 @@ def _validate_checks(quiet: bool):
 
 def cmd_validate(out: Optional[Path], quiet: bool) -> int:
     results = []
-    for name, ok, detail in _validate_checks(quiet):
+    for name, ok, detail in _validate_checks():
         results.append({"check": name, "passed": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     all_ok = all(r["passed"] for r in results)

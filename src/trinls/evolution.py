@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .model import CouplingModel, State, _coefficients, _mod_pow
+from .model import (CouplingModel, State, _coefficients, _energy_array,
+                    _mod_pow)
 from .spectral import Grid
 
 
@@ -60,26 +61,27 @@ def _phase_coefficient(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     return coef * _mod_pow(np.abs(u), p - 2.0)
 
 
+def _strang(u: np.ndarray, half: np.ndarray, dt: float,
+            model: CouplingModel):
+    """One Strang step of a (3, n) array (`half` = exp(-i k^2 dt/2));
+    returns the new samples and their FFT."""
+    v = ifft(half * fft(u, axis=-1), axis=-1)
+    v = np.exp(1j * dt * _phase_coefficient(v, model.a, model.p)) * v
+    vh = half * fft(v, axis=-1)
+    return ifft(vh, axis=-1), vh
+
+
 def step(state: State, dt: float, model: CouplingModel) -> State:
     """One Strang step of size dt (dt < 0 integrates backwards)."""
     grid = state.grid
-    u = state.stack()
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
-    u = ifft(half * fft(u, axis=-1), axis=-1)
-    u = np.exp(1j * dt * _phase_coefficient(u, model.a, model.p)) * u
-    u = ifft(half * fft(u, axis=-1), axis=-1)
+    u, _ = _strang(state.stack(), half, dt, model)
     return State.from_array(grid, u)
 
 
 def _mass_energy(u, uh, grid: Grid, model: CouplingModel):
-    h = grid.spacing
-    k2 = grid.wavenumbers ** 2
-    m = h * np.sum(np.abs(u) ** 2, axis=1)
-    kin = h / grid.n * np.sum(k2 * np.abs(uh) ** 2, axis=1)
-    mod_p = np.abs(u) ** model.p
-    inter = h * np.sum(mod_p * (model.a @ mod_p), axis=1)
-    E = float(np.sum(kin) - np.sum(inter) / model.p)
-    return m, E
+    m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1)
+    return m, _energy_array(u, grid, model, uh)
 
 
 def evolve(state0: State, T: float, dt: float, model: CouplingModel,
@@ -98,8 +100,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
     u = state0.stack()
-    uh = fft(u, axis=-1)
-    m0, E0 = _mass_energy(u, uh, grid, model)
+    m0, E0 = _mass_energy(u, None, grid, model)
     active = m0 > 0
     e_scale = abs(E0) if E0 != 0 else 1.0
 
@@ -112,13 +113,8 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
 
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     for s in range(1, nsteps + 1):
-        uh = fft(u, axis=-1)
-        v = ifft(half * uh, axis=-1)
-        v = np.exp(1j * dt * _phase_coefficient(v, model.a, model.p)) * v
-        vh = half * fft(v, axis=-1)
-        u = ifft(vh, axis=-1)
-
-        m, E = _mass_energy(u, vh, grid, model)
+        u, uh = _strang(u, half, dt, model)
+        m, E = _mass_energy(u, uh, grid, model)
         if not np.isfinite(E):
             partial = EvolutionTrace(
                 times=times[:s], energy_drift=e_drift[:s],

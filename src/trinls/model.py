@@ -148,24 +148,27 @@ def _gradient_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.ndarr
     return -lap - _nonlinearity(u, model.a, model.p)
 
 
-def _energy_terms(u: np.ndarray, grid: Grid, model: CouplingModel):
+def _energy_terms(u: np.ndarray, grid: Grid, model: CouplingModel,
+                  uh: np.ndarray = None):
     """Per-component kinetic energies and interaction integrals.
 
     Returns (kin, inter) with kin_j = int |u_j'|^2 and
     inter_j = int |u_j|^p sum_k a_jk |u_k|^p, so that
-    H = sum(kin) - sum(inter)/p.
+    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u, axis=-1).
     """
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
-    uh = fft(u, axis=-1)
+    if uh is None:
+        uh = fft(u, axis=-1)
     kin = h / grid.n * np.sum(k2 * np.abs(uh) ** 2, axis=1)
     mod_p = np.abs(u) ** model.p
     inter = h * np.sum(mod_p * (model.a @ mod_p), axis=1)
     return kin, inter
 
 
-def _energy_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> float:
-    kin, inter = _energy_terms(u, grid, model)
+def _energy_array(u: np.ndarray, grid: Grid, model: CouplingModel,
+                  uh: np.ndarray = None) -> float:
+    kin, inter = _energy_terms(u, grid, model, uh)
     return float(np.sum(kin) - np.sum(inter) / model.p)
 
 

@@ -68,6 +68,32 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("key, text", [
+        ("solver.max_iters", BASE.replace("seed = 0", "max_iters = many")),
+        ("evolution.snapshot_every", BASE + "\n[evolution]\nt = 1.0\n"
+         "dt = 1e-3\nsnapshot_every = abc\n"),
+        ("stability.sample_every", BASE + "\n[stability]\ndelta = 1e-3\n"
+         "sample_every = 1.5\n"),
+        ("stability.eps", BASE + "\n[stability]\ndelta = 1e-3\neps = small\n"),
+        ("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\nseeds = 0,x\n"),
+    ], ids=lambda v: v if "[" not in v else "cfg")
+    def test_non_numeric_value_names_key(self, tmp_path, capsys, key, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "rearrange_every = 25"),
+        ("solver", "refine = true"),
+        ("output", "formats = json,csv"),
+    ])
+    def test_removed_keys_rejected(self, tmp_path, capsys, section, line):
+        text = (BASE.replace("seed = 0", f"seed = 0\n{line}") if section == "solver"
+                else BASE + f"\n[output]\n{line}\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
 
 class TestSolve:
     def test_single_component_preset(self, tmp_path):
@@ -112,7 +138,7 @@ class TestSolve:
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace(
-            "seed = 0", "seed = 0\nmax_iters = 2\nrefine = false"))
+            "seed = 0", "seed = 0\nmax_iters = 2"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
 
@@ -134,6 +160,16 @@ class TestSolve:
             "seed = 0",
             f"seed = 0\ninit = supplied\ninit_profile = {tmp_path / 'gone.csv'}")
         cfg = write_config(tmp_path, broken, name="broken.ini")
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 1
+        assert "init_profile" in capsys.readouterr().err
+
+    def test_supplied_init_malformed_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\n1,2,abc,4,5,6,7\n")
+        text = BASE.replace(
+            "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {bad}")
+        cfg = write_config(tmp_path, text, name="malformed.ini")
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
         assert "init_profile" in capsys.readouterr().err
@@ -228,6 +264,35 @@ class TestSubadd:
         assert float(row["margin"]) == pytest.approx(-1.0, abs=2e-4)
         assert row["inconclusive"] == "False"
 
+    @pytest.mark.parametrize("splits", ["2,0,0 ; 1,0,0", "2,0,0;1,0,0"])
+    def test_every_split_is_kept(self, tmp_path, splits):
+        cfg = write_config(tmp_path, BASE + f"\n[subadd]\nsplits = {splits}\n",
+                           name="sub.ini")
+        out = tmp_path / "sub"
+        assert main(["subadd", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = [l for l in (out / "margins.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["2.0", "1.0"]
+
+    def test_total_solved_once(self, tmp_path, monkeypatch):
+        import trinls.cli as cli
+        import trinls.ground_state as gs_mod
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return minimize(*args, **kwargs)
+
+        minimize = gs_mod.minimize
+        monkeypatch.setattr(gs_mod, "minimize", counting)
+        monkeypatch.setattr(cli, "minimize", counting)
+        cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 2,0,0 ; 1,0,0 ; 3,0,0\n",
+                           name="sub.ini")
+        assert main(["subadd", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        assert len(calls) == 1 + 2 * 3
+        assert calls.count(t.MassTriple(4.0, 0.0, 0.0)) == 1
+
     def test_split_exceeding_total_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 5,0,0\n",
                            name="sub2.ini")
@@ -298,6 +363,6 @@ class TestValidate:
         import trinls.cli as cli
         monkeypatch.setattr(
             cli, "_validate_checks",
-            lambda quiet: iter([("forced", False, "synthetic failure")]))
+            lambda: iter([("forced", False, "synthetic failure")]))
         assert main(["validate"]) == 4
         assert "FAIL" in capsys.readouterr().out

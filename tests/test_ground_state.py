@@ -87,12 +87,11 @@ class TestSolverContracts:
             assert diag.min_aligned_real > 0
 
     def test_translation_class(self, grid40, model_ones, gs_equal):
-        # start from data shifted off-center, rearrangement off: the flow
-        # converges to a translate of the same profile
+        # start from data shifted off-center: the flow converges to a
+        # translate of the same profile
         shifted = t.apply_symmetry(gs_equal.profile, shift=64 * grid40.spacing,
                                    phases=(0.4, 1.0, -0.3))
-        cfg = t.SolverConfig(init="supplied", initial_state=shifted,
-                             rearrange_every=0)
+        cfg = t.SolverConfig(init="supplied", initial_state=shifted)
         gs = t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3), grid40, cfg)
         assert t.orbital_distance(gs.profile, gs_equal) <= TOLS.translation_class_ynorm
         # and the bump is still off-center (no recentering happened)
@@ -164,6 +163,24 @@ class TestRefineFixedPoint:
         with pytest.raises(t.DivergenceError):
             t.refine_fixed_point(state, model_ones,
                                  t.MassTriple(0.01, 0.01, 0.01), max_sweeps=40)
+
+
+class TestFineGridPresets:
+    """At n = 4096, L = 40 a fixed residual tolerance of 1e-11 lies below
+    round-off; both solvers stop at the floor eps * max k^2 instead."""
+
+    @pytest.mark.parametrize("masses", [(4.0, 0.0, 0.0), (4 / 3, 4 / 3, 4 / 3)])
+    def test_flow_then_polish_stop_at_round_off_floor(self, model_ones, masses):
+        grid = t.make_grid(4096, 40.0)
+        floor = np.finfo(float).eps * np.max(grid.wavenumbers ** 2)
+        m = t.MassTriple(*masses)
+        gs = t.minimize(model_ones, m, grid)
+        assert gs.iterations < 100
+        assert gs.residual <= floor
+        assert abs(gs.lam + 4 / 3) <= TOLS.lambda_rel * (4 / 3)
+        polished = t.refine_fixed_point(gs.profile, model_ones, m)
+        assert polished.iterations <= 20
+        assert polished.residual <= floor
 
 
 class TestTwoComponentMin:

@@ -44,6 +44,15 @@ class TestOrbitalDistance:
                                  phases=(0.3, -2.0, 1.1))
         assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
 
+    @pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0),
+                                        (0.3, -2.0, 1.1)])
+    @pytest.mark.parametrize("nodes", [0, 7, 41, 300])
+    def test_zero_on_exact_symmetry_copy(self, gs_equal, nodes, phases):
+        moved = t.apply_symmetry(gs_equal.profile,
+                                 shift=nodes * gs_equal.grid.spacing,
+                                 phases=phases)
+        assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
+
     def test_small_perturbation_scale(self, gs_equal, rng):
         eta = t.random_smooth_state(gs_equal.grid, rng)
         from scipy.fft import fft
