@@ -264,11 +264,10 @@ def write_profile_csv(path: Path, state: State) -> None:
         fh.write("# dimensionless units; one row per grid node, ordered by x\n")
         writer = csv.writer(fh)
         writer.writerow(PROFILE_HEADER)
-        for m, x in enumerate(state.grid.nodes):
-            row = [repr(float(x))]
-            for j in range(3):
-                row += [repr(float(u[j, m].real)), repr(float(u[j, m].imag))]
-            writer.writerow(row)
+        cols = [state.grid.nodes]
+        for j in range(3):
+            cols += [u[j].real, u[j].imag]
+        writer.writerows(np.column_stack(cols).tolist())
 
 
 def read_profile_csv(path: Path, grid: Grid) -> State:
@@ -311,11 +310,8 @@ def write_trace_csv(path: Path, trace) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "energy_drift", "mass_drift_1", "mass_drift_2",
                          "mass_drift_3"])
-        for i, t in enumerate(trace.times):
-            writer.writerow([repr(float(t)), repr(float(trace.energy_drift[i])),
-                             repr(float(trace.mass_drifts[i, 0])),
-                             repr(float(trace.mass_drifts[i, 1])),
-                             repr(float(trace.mass_drifts[i, 2]))])
+        writer.writerows(np.column_stack(
+            [trace.times, trace.energy_drift, trace.mass_drifts]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +521,8 @@ def cmd_validate(out: Optional[Path], quiet: bool) -> int:
     results = []
     for name, ok, detail in _validate_checks():
         results.append({"check": name, "passed": bool(ok), "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        if not (quiet and ok):
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     all_ok = all(r["passed"] for r in results)
     if out is not None:
         write_json(out / "validate.json", {"checks": results, "all_passed": all_ok})

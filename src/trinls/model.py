@@ -149,26 +149,28 @@ def _gradient_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.ndarr
 
 
 def _energy_terms(u: np.ndarray, grid: Grid, model: CouplingModel,
-                  uh: np.ndarray = None):
+                  uh: np.ndarray = None, mod_p: np.ndarray = None):
     """Per-component kinetic energies and interaction integrals.
 
     Returns (kin, inter) with kin_j = int |u_j'|^2 and
     inter_j = int |u_j|^p sum_k a_jk |u_k|^p, so that
-    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u, axis=-1).
+    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u, axis=-1)
+    and `mod_p` the moduli np.abs(u) ** p.
     """
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     if uh is None:
         uh = fft(u, axis=-1)
     kin = h / grid.n * np.sum(k2 * np.abs(uh) ** 2, axis=1)
-    mod_p = np.abs(u) ** model.p
+    if mod_p is None:
+        mod_p = np.abs(u) ** model.p
     inter = h * np.sum(mod_p * (model.a @ mod_p), axis=1)
     return kin, inter
 
 
 def _energy_array(u: np.ndarray, grid: Grid, model: CouplingModel,
-                  uh: np.ndarray = None) -> float:
-    kin, inter = _energy_terms(u, grid, model, uh)
+                  uh: np.ndarray = None, mod_p: np.ndarray = None) -> float:
+    kin, inter = _energy_terms(u, grid, model, uh, mod_p)
     return float(np.sum(kin) - np.sum(inter) / model.p)
 
 

@@ -8,7 +8,10 @@ per-component phases, minimize
 
 then take the square root.  For each y the optimal phase is analytic (the
 argument of the complex H^1 inner product), so a full scan over shifts costs
-one FFT correlation per component.  The resulting number is an upper bound
+one FFT correlation per component.  The shift is then refined off the grid:
+the vertex of the parabola through the best node and its two neighbours
+starts at most three safeguarded Newton steps on the derivative of the
+spectrally interpolated correlation.  The resulting number is an upper bound
 for the distance to the full minimizer set, since only the orbit of one
 representative is scanned.
 
@@ -70,8 +73,6 @@ def orbital_distance(state: State, ground: GroundState) -> float:
     (h/2) * ||Phi'||_{H^1}.  The H^1 norm of the difference is computed
     directly: expanding its square cancels about eight digits.
     """
-    from scipy.optimize import minimize_scalar
-
     grid = require_same_grid(state.grid, ground.grid)
     w = _h1_weights(grid)
     h = grid.spacing
@@ -80,26 +81,37 @@ def orbital_distance(state: State, ground: GroundState) -> float:
     cross = w * S * np.conj(P)
     # corr[j, m] = <S_j, Phi_j(. - m h)>_{H^1}
     corr = h * ifft(cross, axis=-1)
-    m0 = int(np.argmax(np.sum(np.abs(corr), axis=0)))
+    scan = np.sum(np.abs(corr), axis=0)
+    m0 = int(np.argmax(scan))
 
     k = grid.wavenumbers
-    cross_scaled = h / grid.n * cross
-
-    def overlaps(y: float):
-        """<S_j, Phi_j(. - y)>_{H^1} per component, and exp(i k y)."""
-        phases = np.exp(1j * k * y)
-        return np.sum(cross_scaled * phases, axis=1), phases
+    # c(y), c'(y), c''(y) of c_j(y) = <S_j, Phi_j(. - y)>_{H^1}
+    X = h / grid.n * cross
+    derivs = np.concatenate([X, 1j * k * X, -k ** 2 * X])
 
     def distance(y: float) -> float:
-        c, phases = overlaps(y)
-        diff = S - np.exp(1j * np.angle(c))[:, None] * P * np.conj(phases)
+        phases = np.exp(1j * k * y)
+        diff = S - np.exp(1j * np.angle(X @ phases))[:, None] * P * np.conj(phases)
         return float(np.sqrt(h / grid.n * np.sum(w * np.abs(diff) ** 2)))
 
+    # maximize F(y) = sum_j |c_j(y)|: vertex of the parabola through the
+    # best node and its neighbours, then safeguarded Newton steps on F'
     y0 = m0 * h
-    res = minimize_scalar(lambda y: -float(np.sum(np.abs(overlaps(y)[0]))),
-                          bounds=(y0 - h, y0 + h), method="bounded",
-                          options={"xatol": 1e-6 * h})
-    return min(distance(y0), distance(res.x))
+    f_lo, f0, f_hi = scan[m0 - 1], scan[m0], scan[(m0 + 1) % grid.n]
+    bend = f_lo - 2 * f0 + f_hi
+    y = y0 + (0.5 * h * (f_lo - f_hi) / bend if bend < 0 else 0.0)
+    for _ in range(3):
+        c, dc, d2c = (derivs @ np.exp(1j * k * y)).reshape(3, 3)
+        mod = np.abs(c)
+        live = mod > 0
+        c, dc, d2c, mod = c[live], dc[live], d2c[live], mod[live]
+        slope = (np.conj(c) * dc).real / mod
+        curv = np.sum((np.abs(dc) ** 2 + (np.conj(c) * d2c).real) / mod
+                      - slope ** 2 / mod)
+        if not curv < 0:
+            break
+        y = min(max(y - np.sum(slope) / curv, y0 - h), y0 + h)
+    return min(distance(y0), distance(y))
 
 
 def _smooth_noise(grid, rng) -> np.ndarray:

@@ -359,6 +359,15 @@ class TestValidate:
         assert report["all_passed"] is True
         assert len(report["checks"]) == 7
 
+    def test_validate_quiet_prints_only_failures(self, monkeypatch, capsys):
+        import trinls.cli as cli
+        monkeypatch.setattr(
+            cli, "_validate_checks",
+            lambda: iter([("fine", True, "ok"), ("forced", False, "bad")]))
+        assert main(["validate", "--quiet"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["FAIL  forced: bad"]
+
     def test_validate_failure_exit_code(self, monkeypatch, capsys):
         import trinls.cli as cli
         monkeypatch.setattr(
@@ -366,3 +375,46 @@ class TestValidate:
             lambda: iter([("forced", False, "synthetic failure")]))
         assert main(["validate"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestWriters:
+    """The array writers keep the bytes of per-element repr formatting."""
+
+    @staticmethod
+    def reference_rows(cols):
+        import csv
+        import io
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for m in range(len(cols[0])):
+            writer.writerow([repr(float(c[m])) for c in cols])
+        return buf.getvalue()
+
+    def test_profile_bytes(self, tmp_path):
+        from trinls.cli import write_profile_csv
+        grid = t.make_grid(16, 4.0)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        u[0, :3] = [0.0, complex(-0.0, -0.0), complex(1e-300, -1e-300)]
+        u[1, 3] = complex(1 / 3, -2 / 3) * 1e17
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        cols = [grid.nodes]
+        for j in range(3):
+            cols += [u[j].real, u[j].imag]
+        head = ("# dimensionless units; one row per grid node, ordered by x\n"
+                "x,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\r\n")
+        expected = head + self.reference_rows(cols)
+        assert (tmp_path / "p.csv").read_bytes() == expected.encode()
+
+    def test_trace_bytes(self, tmp_path):
+        from trinls.cli import write_trace_csv
+        times = np.arange(4) * 1e-3
+        e = np.array([0.0, 1e-300, 3.5e-11, 1 / 7])
+        m = np.array([[0.0, -0.0, 0.0], [1e-16, 0.0, 2e-15],
+                      [3e-14, 0.0, 1 / 3], [5e-13, 0.0, 7e-12]])
+        trace = t.EvolutionTrace(times=times, energy_drift=e, mass_drifts=m)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        head = ("# dimensionless units; drifts are relative to t = 0\n"
+                "t,energy_drift,mass_drift_1,mass_drift_2,mass_drift_3\r\n")
+        expected = head + self.reference_rows([times, e, m[:, 0], m[:, 1], m[:, 2]])
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode()

@@ -21,6 +21,10 @@ def y_norm_diff(a, b, grid):
     return float(np.sqrt(grid.spacing / grid.n * np.sum(w * np.abs(d) ** 2)))
 
 
+# asymmetric coupling of the wide command-line preset (p = 2.5, n = 4096)
+ASYMMETRIC_A = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
+
+
 def gaussian_triple(grid, masses=(1.0, 1.0, 1.0)):
     x = grid.nodes
     u = np.stack([np.exp(-x ** 2 / 2).astype(complex) for _ in range(3)])
@@ -69,6 +73,24 @@ class TestStep:
         final = trace.snapshots[-1][1]
         assert y_norm_diff(final.stack(), manual.stack(), gs_equal.grid) <= 1e-13
 
+    @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.2, 0.0, 0.8)],
+                             ids=["all_mass", "zero_mass"])
+    @pytest.mark.parametrize("a", [np.ones((3, 3)), ASYMMETRIC_A],
+                             ids=["ones", "asymmetric"])
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_evolve_matches_repeated_step_general(self, grid40, p, a, masses):
+        # evolve carries the spectrum across steps; step() transforms in and
+        # out every time: both must agree to round-off
+        model = t.CouplingModel(a, p)
+        state = gaussian_triple(grid40, masses)
+        dt = 2e-3
+        trace = t.evolve(state, 3 * dt, dt, model, snapshot_every=3)
+        manual = state
+        for _ in range(3):
+            manual = t.step(manual, dt, model)
+        final = trace.snapshots[-1][1]
+        assert y_norm_diff(final.stack(), manual.stack(), grid40) <= 1e-13
+
 
 class TestConservation:
     def test_ground_state_drifts(self, gs_equal, model_ones):
@@ -113,6 +135,24 @@ class TestConservation:
         returned = back.snapshots[-1][1]
         err = y_norm_diff(returned.stack(), start.stack(), gs_equal.grid)
         assert err <= TOLS.reversal_ynorm
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_trace_matches_snapshot_drifts(self, grid40, p):
+        # the per-step record equals the drifts recomputed from every state
+        # with the public energy and masses
+        model = t.CouplingModel(ASYMMETRIC_A, p)
+        state = gaussian_triple(grid40, (1.2, 0.0, 0.8))
+        trace = t.evolve(state, 0.05, 1e-3, model, snapshot_every=1)
+        states = [s for _, s in trace.snapshots]
+        E = np.array([t.energy(s, model) for s in states])
+        m = np.array([s.masses() for s in states])
+        m_drift = np.zeros_like(m)
+        live = m[0] > 0
+        m_drift[:, live] = np.abs(m[:, live] - m[0, live]) / m[0, live]
+        assert len(states) == len(trace.times)
+        assert np.allclose(trace.energy_drift, np.abs(E - E[0]) / abs(E[0]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(trace.mass_drifts, m_drift, rtol=0, atol=1e-12)
 
     def test_trace_shapes(self, gs_equal, model_ones):
         trace = t.evolve(gs_equal.profile, 0.05, 1e-3, model_ones, snapshot_every=10)

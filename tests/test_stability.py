@@ -7,6 +7,10 @@ reductions.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,14 @@ class TestOrbitalDistance:
         moved = t.apply_symmetry(gs_equal.profile,
                                  shift=nodes * gs_equal.grid.spacing,
                                  phases=phases)
+        assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+    def test_zero_on_subgrid_symmetry_copy(self, gs_equal, fraction):
+        # a shift between nodes is found by the continuous refinement
+        moved = t.apply_symmetry(gs_equal.profile,
+                                 shift=(41 + fraction) * gs_equal.grid.spacing,
+                                 phases=(0.3, -2.0, 1.1))
         assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
 
     def test_small_perturbation_scale(self, gs_equal, rng):
@@ -228,3 +240,25 @@ class TestExperiment:
             rep = t.stability_experiment(fake, model, "random_h1", 0.0,
                                          T=0.5, dt=1e-3, sample_every=100)
         assert rep.verdict == "blow_up"
+
+
+def test_stability_run_does_not_import_scipy_optimize():
+    # the shift refinement is closed-form Newton; scipy.optimize costs a
+    # quarter second and ~20 MB per process
+    script = """
+import sys
+import numpy as np
+import trinls as t
+grid = t.make_grid(256, 40.0)
+model = t.CouplingModel(np.ones((3, 3)), 2.0)
+masses = t.MassTriple(4 / 3, 4 / 3, 4 / 3)
+gs = t.minimize(model, masses, grid, t.SolverConfig())
+t.stability_experiment(gs, model, "mass_preserving_random", 1e-3,
+                       T=0.01, dt=1e-3, sample_every=5)
+print("scipy.optimize" in sys.modules)
+"""
+    src = str(Path(t.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
