@@ -61,10 +61,10 @@ class EvolutionTrace:
 
 def _phase_coefficient(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     """Real rotation rates (sum_k a_kj |u_k|^p) |u_j|^{p-2} per component."""
-    coef = _coefficients(u, a, p)
     if p == 2.0:
-        return coef
-    return coef * _mod_pow(np.abs(u), p - 2.0)
+        return _coefficients(u, a, p)
+    mod = np.abs(u)
+    return _coefficients(u, a, p, mod ** p) * _mod_pow(mod, p - 2.0)
 
 
 def _strang(uh: np.ndarray, half: np.ndarray, dt: float,
@@ -92,10 +92,11 @@ def step(state: State, dt: float, model: CouplingModel) -> State:
 
 
 def _mass_energy(u, uh, grid: Grid, model: CouplingModel):
-    """Per-component masses and the energy; at p = 2 one |u|^2 pass serves
-    both."""
-    mod2 = np.abs(u) ** 2
-    E = _energy_array(u, grid, model, uh, mod2 if model.p == 2.0 else None)
+    """Per-component masses and the energy from one |u| pass."""
+    mod = np.abs(u)
+    mod2 = mod ** 2
+    E = _energy_array(u, grid, model, uh,
+                      mod2 if model.p == 2.0 else mod ** model.p)
     return grid.spacing * np.sum(mod2, axis=1), E
 
 

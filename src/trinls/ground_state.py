@@ -11,14 +11,24 @@ Two flow schemes are provided:
 ``preconditioned`` (default)
     Steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with the
     multiplier estimate w_j re-extracted every iteration.  The fixed point of
-    step + projection is exactly the Euler-Lagrange state, the iteration is
-    unconditionally stable, and tau = O(1) converges in tens of iterations.
-    With tau = 1 and s_j = w_j the step is the Green-kernel sweep below.
+    step + projection g(u) is exactly the Euler-Lagrange state.  With tau = 1
+    and s_j = w_j the step is the Green-kernel sweep below.  g is Anderson-
+    mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
+    `_DEPTH` iterate and step differences; a mixed iterate that raises the
+    energy beyond the monotonicity slack, or the residual above
+    `_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain
+    step and the history is cleared.  About 15 iterations reach the
+    round-off floor.
 
 ``explicit``
     Plain forward-Euler descent u <- u - tau_eff * G with tau_eff a fraction
-    of the von Neumann limit 2 / max(k^2).  Kept as a cross-check; it needs
-    O(1e5) iterations at production resolution.
+    of the von Neumann limit 2 / max(k^2), never mixed.  Kept as a
+    cross-check; it needs O(1e5) iterations at production resolution.
+
+Every `GroundState` reports lambda = H(u) + sum_j w_j (Q_j(u) - m_j) in
+extended precision, rounded once: the minimum value at the masses m, with the
+mass error of the projection's rounding corrected to first order, so lambda
+does not depend on the path the iterates took.
 
 The independent cross-check `refine_fixed_point` rewrites the Euler-Lagrange
 system as u_j = E_{w_j} * N_j(u), where E_w is the Green kernel of
@@ -38,7 +48,7 @@ import numpy as np
 from scipy.fft import fft, ifft
 
 from .model import (CouplingModel, MassTriple, Multipliers, State,
-                    _el_residual_array, _energy_array, _energy_terms,
+                    _el_residual_array, _energy_terms,
                     _multiplier_array, _nonlinearity, sech_profile)
 # _rearrange_samples is unused here; bench/tracing.py wraps it by this path
 from .spectral import Grid, _rearrange_samples  # noqa: F401
@@ -100,8 +110,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Converged minimizer: profile, multipliers, attained energy lam,
-    Euler-Lagrange residual, iteration count, achieved masses, and the
+    """Converged minimizer: profile, multipliers, the minimum value lam at
+    the prescribed masses (it can differ from `energy(profile)` by a few
+    ulp), Euler-Lagrange residual, iteration count, achieved masses, and the
     energy history of the run (diagnostic)."""
 
     profile: State
@@ -143,20 +154,22 @@ class SubadditivityResult:
 
 _SHIFT_FLOOR = 1e-3
 _SHIFT_FALLBACK = 0.5
+_DEPTH = 3  # Anderson mixing depth: step differences kept
+_RESIDUAL_GROWTH = 10.0  # a mixed iterate's residual over the lowest reached
 
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     """Exact projection onto the mass constraints: per-component rescale."""
-    for j in range(3):
-        if targets[j] == 0.0:
-            u[j] = 0.0
-            continue
-        m = h * np.sum(np.abs(u[j]) ** 2)
-        if m == 0.0:
-            raise ValueError(
-                f"component {j + 1} is identically zero; cannot rescale it "
-                f"to mass {targets[j]}")
-        u[j] *= np.sqrt(targets[j] / m)
+    m = h * np.sum(np.abs(u) ** 2, axis=1)
+    active = targets > 0
+    empty = active & (m == 0.0)
+    if np.any(empty):
+        j = int(np.argmax(empty))
+        raise ValueError(
+            f"component {j + 1} is identically zero; cannot rescale it "
+            f"to mass {targets[j]}")
+    u *= np.sqrt(targets / np.where(active, m, 1.0))[:, None]
+    u[~active] = 0.0
     return u
 
 
@@ -200,85 +213,135 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
              cfg: SolverConfig = SolverConfig()) -> GroundState:
     """Minimize H over the mass-constraint set; returns the ground state.
 
-    Iterates the normalized flow (step, exact mass projection) until the
-    energy decrease drops below `energy_tol` while the Euler-Lagrange
-    residual is below `_residual_target(grid, residual_tol)`.  Raises
-    `ConvergenceError` (carrying the last iterate) when `max_iters` is
-    exhausted and `StepCollapseError` if the iterate leaves the finite range.
+    Iterates the normalized flow (step, exact mass projection), Anderson-mixed
+    for the preconditioned scheme, until the energy decrease drops below
+    `energy_tol` while the Euler-Lagrange residual is below
+    `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
+    (carrying the last iterate) when `max_iters` is exhausted and
+    `StepCollapseError` if the iterate leaves the finite range.
     """
     targets = masses.as_array()
     act = np.flatnonzero(targets > 0)
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, cfg.residual_tol)
+    slack = TOLS.energy_monotone_factor * cfg.energy_tol
     u = _initial_array(model, masses, grid, cfg)
 
-    if cfg.scheme == "explicit":
-        tau_eff = cfg.tau * 2.0 / k2.max()
-    else:
-        tau_eff = cfg.tau
+    mix = cfg.scheme == "preconditioned"
+    tau_eff = cfg.tau if mix else cfg.tau * 2.0 / k2.max()
+    if mix:  # mixing history over the real view of the active components
+        size = 2 * act.size * grid.n
+        dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
+        x_prev, f_prev = np.empty(size), np.empty(size)
+    count = -1  # differences recorded; -1 before the first iterate
+    plain = None  # the unmixed step behind the current mixed iterate
 
     e_prev = np.inf
     history = []
-    E = np.nan
     w = np.full(3, np.nan)
-    res = np.inf
-    it = 0
+    res = res_min = np.inf
+    converged = False
     for it in range(cfg.max_iters):
         uh = fft(u, axis=-1)
-        N = _nonlinearity(u, model.a, model.p)
-        kin, inter = _energy_terms(u, grid, model, uh)
+        mod = np.abs(u)
+        mod_p = mod ** model.p
+        kin, inter = _energy_terms(u, grid, model, uh, mod_p)
         E = float(np.sum(kin) - np.sum(inter) / model.p)
         if not np.isfinite(E):
             raise StepCollapseError(
                 f"non-finite energy at iteration {it} (step size collapse)")
-        history.append(E)
+        N = _nonlinearity(u, model.a, model.p, mod, mod_p)
 
-        w = np.full(3, np.nan)
-        w[act] = -(kin[act] - inter[act]) / targets[act]
-        wa = w[act, None]
+        w_it = np.full(3, np.nan)
+        w_it[act] = -(kin[act] - inter[act]) / targets[act]
+        wa = w_it[act, None]
 
         # Fourier transform of the residual G_j + w_j u_j
         rh = (k2 + wa) * uh[act] - fft(N[act], axis=-1)
-        res = float(np.sqrt(np.max(
+        res_it = float(np.sqrt(np.max(
             h / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / targets[act])))
+        if plain is not None and not (E <= e_prev + slack and
+                                      res_it <= _RESIDUAL_GROWTH * res_min):
+            # raised energy or residual (at round-off the weights fit noise)
+            u, plain, count = plain, None, -1
+            continue
+        history.append(E)
+        w, res = w_it, res_it
+        res_min = min(res_min, res)
 
         if abs(e_prev - E) < cfg.energy_tol and res < target:
+            converged = True
             break
         e_prev = E
 
-        if cfg.scheme == "explicit":
-            u[act] = ifft(uh[act] - tau_eff * (rh - wa * uh[act]), axis=-1)
-        else:
-            s = np.where(wa > _SHIFT_FLOOR, wa, _SHIFT_FALLBACK)
-            u[act] = ifft(uh[act] - tau_eff * rh / (k2 + s), axis=-1)
-        u = _project(u, targets, h)
-    else:
-        last = _package(u, w, E, res, cfg.max_iters, model, masses, grid,
+        g = np.zeros_like(u)
+        if not mix:
+            g[act] = ifft(uh[act] - tau_eff * (rh - wa * uh[act]), axis=-1)
+            u = _project(g, targets, h)
+            continue
+        s = np.where(wa > _SHIFT_FLOOR, wa, _SHIFT_FALLBACK)
+        g[act] = ifft(uh[act] - tau_eff * rh / (k2 + s), axis=-1)
+        g = _project(g, targets, h)
+
+        x = u[act].view(float).ravel()
+        gx = g[act].view(float).ravel()
+        if count >= 0:
+            np.subtract(x, x_prev, out=dX[count % _DEPTH])
+        x_prev[:] = x
+        f = np.subtract(gx, x, out=x)  # the step, in x's buffer
+        if count >= 0:
+            np.subtract(f, f_prev, out=dF[count % _DEPTH])
+        f_prev[:] = f
+        count += 1
+        if count == 0:
+            u, plain = g, None
+            continue
+        # least-squares weights minimizing |f - dF gamma|, then the mixed
+        # iterate g - (dX + dF) gamma, projected back onto the constraints
+        F = dF[:min(count, _DEPTH)]
+        gamma = np.linalg.lstsq(F @ F.T, F @ f, rcond=None)[0]
+        gx -= gamma @ dX[:len(F)]
+        gx -= gamma @ F
+        u = np.zeros_like(u)
+        u[act] = gx.view(complex).reshape(act.size, grid.n)
+        u, plain = _project(u, targets, h), g
+        del x, gx, f  # free before the next step: lower peak memory
+
+    dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
+    if not converged:
+        last = _package(u, w, res, cfg.max_iters, model, masses, grid,
                         history, validate=False)
         raise ConvergenceError(
             f"no convergence in {cfg.max_iters} iterations "
             f"(residual {res:.3e}, target {target:.1e})", last=last)
+    return _package(u, w, res, it, model, masses, grid, history)
 
-    return _package(u, w, E, res, it, model, masses, grid, history)
 
-
-def _package(u, w, E, res, iters, model, masses, grid, history,
+def _package(u, w, res, iters, model, masses, grid, history,
              validate: bool = True) -> GroundState:
     h = grid.spacing
     achieved = h * np.sum(np.abs(u) ** 2, axis=1)
+    # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
+    ul = u.astype(np.clongdouble)
+    kin, inter = _energy_terms(ul, grid, model)
+    targets = masses.as_array()
+    act = targets > 0
+    dq = h * np.sum(np.abs(ul[act]) ** 2, axis=1) - targets[act]
+    lam = float(np.sum(kin) - np.sum(inter) / model.p + np.sum(w[act] * dq))
     gs = GroundState(
         profile=State.from_array(grid, u),
         multipliers=Multipliers(*map(float, w)),
-        lam=E,
+        lam=lam,
         residual=res,
         iterations=iters,
         masses_achieved=MassTriple(*map(float, achieved)),
         energy_history=tuple(history),
     )
-    if validate and not E < 0:
+    if validate and not lam < 0:
         raise ConvergenceError(
-            f"converged to non-negative energy {E:.3e}; not a minimizer", last=gs)
+            f"converged to non-negative energy {lam:.3e}; not a minimizer",
+            last=gs)
     return gs
 
 
@@ -301,45 +364,48 @@ def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
     target = _residual_target(grid, residual_tol)
     u = _project(state.stack(), targets, h)
 
-    best = None
+    best = None  # (u, w, residual, sweeps) of the lowest residual seen
     best_res = np.inf
     increases = 0
     w = _multiplier_array(u, grid, model)
     res = _el_residual_array(u, w, grid, model)
-    sweeps = 0
+
+    def packaged():
+        return None if best is None else _package(
+            *best, model, masses, grid, [], validate=False)
+
     for sweeps in range(1, max_sweeps + 1):
         if np.any(w[active] <= 0):
             raise DivergenceError(
-                f"non-positive multiplier {w} during refinement", best=best)
+                f"non-positive multiplier {w} during refinement", best=packaged())
         N = _nonlinearity(u, model.a, model.p)
         for j in range(3):
             if active[j]:
                 u[j] = ifft(fft(N[j]) / (k2 + w[j]))
         u = _project(u, targets, h)
         if not np.all(np.isfinite(u)):
-            raise DivergenceError("non-finite iterate during refinement", best=best)
+            raise DivergenceError("non-finite iterate during refinement",
+                                  best=packaged())
 
         w = _multiplier_array(u, grid, model)
         new_res = _el_residual_array(u, w, grid, model)
         if new_res < best_res:
             best_res = new_res
-            E = _energy_array(u, grid, model)
-            best = _package(u.copy(), w, E, new_res, sweeps, model, masses,
-                            grid, [], validate=False)
+            best = (u.copy(), w, new_res, sweeps)
         increases = increases + 1 if new_res > res else 0
         res = new_res
         if increases >= 5:
             raise DivergenceError(
                 f"residual grew over 5 consecutive sweeps (now {res:.3e})",
-                best=best)
+                best=packaged())
         if res < target:
             break
     else:
         if best_res > 10 * target:
             raise DivergenceError(
                 f"no fixed-point convergence in {max_sweeps} sweeps "
-                f"(best residual {best_res:.3e})", best=best)
-    return best
+                f"(best residual {best_res:.3e})", best=packaged())
+    return packaged()
 
 
 def two_component_min(alpha1: float, alpha2: float, beta: float,

@@ -127,18 +127,20 @@ def _mod_pow(mod: np.ndarray, q: float) -> np.ndarray:
     return np.where(mod > 0.0, out, 0.0)
 
 
-def _coefficients(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
-    """c_j = sum_k a_kj |u_k|^p as a (3, n) array."""
-    mod_p = np.abs(u) ** p
-    return a.T @ mod_p
+def _coefficients(u: np.ndarray, a: np.ndarray, p: float,
+                  mod_p: np.ndarray = None) -> np.ndarray:
+    """c_j = sum_k a_kj |u_k|^p as a (3, n) array (`mod_p`: |u|^p if at hand)."""
+    return a.T @ (np.abs(u) ** p if mod_p is None else mod_p)
 
 
-def _nonlinearity(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
-    """N_j = (sum_k a_kj |u_k|^p) |u_j|^{p-2} u_j, with |u|^{p-2}u := 0 at u=0."""
-    coef = _coefficients(u, a, p)
+def _nonlinearity(u: np.ndarray, a: np.ndarray, p: float,
+                  mod: np.ndarray = None, mod_p: np.ndarray = None) -> np.ndarray:
+    """N_j = (sum_k a_kj |u_k|^p) |u_j|^{p-2} u_j, with |u|^{p-2}u := 0 at u=0
+    (`mod`, `mod_p`: |u| and |u|^p if at hand)."""
+    coef = _coefficients(u, a, p, mod_p)
     if p == 2.0:
         return coef * u
-    mod = np.abs(u)
+    mod = np.abs(u) if mod is None else mod
     return coef * _mod_pow(mod, p - 2.0) * u
 
 

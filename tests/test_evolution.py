@@ -92,6 +92,35 @@ class TestStep:
         assert y_norm_diff(final.stack(), manual.stack(), grid40) <= 1e-13
 
 
+class TestModulusPass:
+    """The phase coefficient and the per-step record take |u| once; the
+    references below are the two-pass forms they replace."""
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_phase_coefficient_bitwise(self, grid40, p, rng):
+        from trinls.evolution import _phase_coefficient
+        from trinls.model import _coefficients, _mod_pow
+        u = t.random_smooth_state(grid40, rng)
+        u[1, ::5] = 0.0
+        ref = _coefficients(u, ASYMMETRIC_A, p)
+        if p != 2.0:
+            ref = ref * _mod_pow(np.abs(u), p - 2.0)
+        assert _phase_coefficient(u, ASYMMETRIC_A, p).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_mass_energy_bitwise(self, grid40, p, rng):
+        from scipy.fft import fft
+        from trinls.evolution import _mass_energy
+        from trinls.model import _energy_array
+        model = t.CouplingModel(ASYMMETRIC_A, p)
+        u = t.random_smooth_state(grid40, rng)
+        uh = fft(u, axis=-1)
+        m, E = _mass_energy(u, uh, grid40, model)
+        assert m.tobytes() == (grid40.spacing
+                               * np.sum(np.abs(u) ** 2, axis=1)).tobytes()
+        assert E == _energy_array(u, grid40, model, uh)
+
+
 class TestConservation:
     def test_ground_state_drifts(self, gs_equal, model_ones):
         trace = t.evolve(gs_equal.profile, 2.0, 1e-3, model_ones)

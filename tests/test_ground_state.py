@@ -15,6 +15,11 @@ import trinls as t
 from trinls.tolerances import DEFAULT as TOLS
 
 
+# coupling of the wide command-line preset (p = 2.5, n = 4096, L = 80)
+ASYMMETRIC_A = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
+ULP = np.spacing(4 / 3)
+
+
 def align_to_center(values):
     """Roll the peak of |values| to the center node."""
     n = values.shape[0]
@@ -136,6 +141,78 @@ class TestSolverContracts:
                              initial_state=t.State.from_array(grid40, u))
         with pytest.raises(ValueError, match="identically zero"):
             t.minimize(model_ones, t.MassTriple(1.0, 1.0, 0.0), grid40, cfg)
+
+
+class TestProjection:
+    @staticmethod
+    def project_loop(u, targets, h):
+        """Per-component reference for the vectorized projection."""
+        for j in range(3):
+            if targets[j] == 0.0:
+                u[j] = 0.0
+                continue
+            u[j] *= np.sqrt(targets[j] / (h * np.sum(np.abs(u[j]) ** 2)))
+        return u
+
+    @pytest.mark.parametrize("targets", [(1.0, 2.0, 0.5), (4.0, 0.0, 0.0),
+                                         (0.0, 1.3, 0.7)])
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_matches_per_component_loop(self, rng, n, targets):
+        from trinls.ground_state import _project
+        u = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        targets = np.array(targets)
+        got = _project(u.copy(), targets, 0.04)
+        assert got.tobytes() == self.project_loop(u.copy(), targets, 0.04).tobytes()
+
+
+class TestMinimumValue:
+    """lambda is the minimum value at the prescribed masses, formed once in
+    extended precision, so it reads the closed form -4/3 to one ulp whatever
+    path the iterates took."""
+
+    @pytest.mark.parametrize("masses", [(4.0, 0.0, 0.0), (4 / 3, 4 / 3, 4 / 3)])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_closed_form_to_one_ulp(self, model_ones, n, masses):
+        grid = t.make_grid(n, 40.0)
+        m = t.MassTriple(*masses)
+        gs = t.minimize(model_ones, m, grid)
+        assert abs(gs.lam + 4 / 3) <= ULP
+
+        # a shifted, phase-rotated start takes another path to the minimum
+        bumps = np.exp(-grid.nodes ** 2 / 8.0) * (m.as_array() > 0)[:, None]
+        start = t.apply_symmetry(t.State.from_array(grid, bumps.astype(complex)),
+                                 shift=64 * grid.spacing, phases=(0.4, 1.0, -0.3))
+        cfg = t.SolverConfig(init="supplied", initial_state=start)
+        assert abs(t.minimize(model_ones, m, grid, cfg).lam - gs.lam) <= ULP
+
+        polished = t.refine_fixed_point(gs.profile, model_ones, m)
+        assert abs(polished.lam - gs.lam) <= ULP
+
+
+class TestAndersonMixing:
+    def test_equal_triple_iterations(self, grid40, model_ones):
+        gs = t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3), grid40)
+        assert gs.iterations <= 25
+
+    def test_wide_preset_iterations(self):
+        model = t.CouplingModel(ASYMMETRIC_A, 2.5)
+        gs = t.minimize(model, t.MassTriple(2.0, 1.5, 1.2), t.make_grid(4096, 80.0))
+        assert gs.iterations <= 30
+
+    @pytest.mark.parametrize("max_iters", [100, 200, 1000])
+    def test_residual_guard_at_round_off_floor(self, max_iters):
+        # a noisy start at p != 2 on the coarse grid stalls near 2e-10, above
+        # the residual target; mixing noise at that floor pushed the carried
+        # iterate's residual up to ~1e-6 until mixed iterates whose residual
+        # exceeds ten times the lowest one reached gave way to the plain step
+        model = t.CouplingModel(np.full((3, 3), 1.054), 2.36)
+        cfg = t.SolverConfig(noise=0.2, seed=54, max_iters=max_iters)
+        try:
+            gs = t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
+                            t.make_grid(256, 40.0), cfg)
+        except t.ConvergenceError as err:
+            gs = err.last
+        assert gs.residual <= 1e-8
 
 
 class TestRefineFixedPoint:

@@ -112,6 +112,28 @@ class TestGradient:
         assert np.all(np.isfinite(G.u1.values))
 
 
+class TestPrecomputedModuli:
+    """Kernels handed the moduli their caller already holds return the same
+    bits as when they take |u| themselves."""
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_kernels_bitwise(self, grid40, p, rng):
+        from trinls.model import _coefficients, _energy_terms, _nonlinearity
+        a = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
+        model = t.CouplingModel(a, p)
+        u = t.random_smooth_state(grid40, rng)
+        u[2, ::7] = 0.0  # exact zeros take the |u|^{p-2} u := 0 branch
+        mod = np.abs(u)
+        mod_p = mod ** p
+        assert (_coefficients(u, a, p, mod_p).tobytes()
+                == _coefficients(u, a, p).tobytes())
+        assert (_nonlinearity(u, a, p, mod, mod_p).tobytes()
+                == _nonlinearity(u, a, p).tobytes())
+        for given, own in zip(_energy_terms(u, grid40, model, None, mod_p),
+                              _energy_terms(u, grid40, model)):
+            assert given.tobytes() == own.tobytes()
+
+
 class TestMultipliersAndResidual:
     def test_single_component_multiplier(self, grid40, model_ones):
         # (4/3 - 16/3) / (-4) = 1
