@@ -201,6 +201,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             raise ConfigError("invalid value for evolution.dt: must be non-zero")
         if evolution["T"] < 0:
             raise ConfigError("invalid value for evolution.t: must be non-negative")
+        if evolution["snapshot_every"] < 0:
+            raise ConfigError("invalid value for evolution.snapshot_every: must be >= 0")
 
     stability = None
     if "stability" in parser:
@@ -221,6 +223,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             "eps": _get(st, "eps", float, "stability", None), "seeds": seeds,
             "sample_every": _get(st, "sample_every", int, "stability", 100),
         }
+        if not stability["delta"] >= 0:
+            raise ConfigError("invalid value for stability.delta: must be >= 0")
+        if stability["sample_every"] <= 0:
+            raise ConfigError("invalid value for stability.sample_every: must be > 0")
 
     subadd_splits = None
     if "subadd" in parser:

@@ -82,6 +82,18 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, text", [
+        ("evolution.snapshot_every", BASE + "\n[evolution]\nt = 1.0\n"
+         "dt = 1e-3\nsnapshot_every = -5\n"),
+        ("stability.sample_every", BASE + "\n[stability]\ndelta = 1e-3\n"
+         "sample_every = 0\n"),
+        ("stability.delta", BASE + "\n[stability]\ndelta = -1e-3\n"),
+    ], ids=lambda v: v if "[" not in v else "cfg")
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, key, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, line", [
         ("solver", "rearrange_every = 25"),
         ("solver", "refine = true"),

@@ -33,6 +33,77 @@ def gaussian_triple(grid, masses=(1.0, 1.0, 1.0)):
     return t.State.from_array(grid, u)
 
 
+def moving_triple(grid, masses):
+    """Gaussians with distinct offsets and momenta, scaled to `masses`."""
+    x = grid.nodes
+    u = np.stack([np.exp(-(x - 0.3 * j) ** 2 / 2 + 0.4j * j * x) for j in range(3)])
+    for j in range(3):
+        u[j] *= np.sqrt(masses[j] / (grid.spacing * np.sum(np.abs(u[j]) ** 2)))
+    return t.State.from_array(grid, u)
+
+
+def reference_evolve(state0, T, dt, model, snapshot_every=0):
+    """Plain Strang loop: three separate transforms per step, the energy
+    from the model kernel, drifts formed step by step.  `evolve` must give
+    the same trajectory bit for bit (its energy to round-off)."""
+    from scipy.fft import fft, ifft
+    from trinls.evolution import _phase_coefficient
+    from trinls.model import _energy_array
+
+    def mass_energy(u, uh):
+        mod2 = np.abs(u) ** 2
+        E = _energy_array(u, grid, model, uh,
+                          mod2 if model.p == 2.0 else np.abs(u) ** model.p)
+        return grid.spacing * np.sum(mod2, axis=1), E
+
+    grid = state0.grid
+    nsteps = int(round(T / abs(dt)))
+    u = state0.stack()
+    uh = fft(u, axis=-1)
+    m0, E0 = mass_energy(u, uh)
+    active = m0 > 0
+    e_scale = abs(E0) if E0 != 0 else 1.0
+    times = np.arange(nsteps + 1) * dt
+    e_drift = np.zeros(nsteps + 1)
+    m_drift = np.zeros((nsteps + 1, 3))
+    snaps = [(0.0, t.State.from_array(grid, u))] if snapshot_every > 0 else []
+    half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
+    rot = np.empty_like(u)
+    for s in range(1, nsteps + 1):
+        v = ifft(half * uh, axis=-1)
+        theta = dt * _phase_coefficient(v, model.a, model.p)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        v *= rot
+        uh = fft(v, axis=-1)
+        uh *= half
+        u = ifft(uh, axis=-1)
+        m, E = mass_energy(u, uh)
+        if not np.isfinite(E):
+            raise t.BlowUpError("non-finite state", trace=t.EvolutionTrace(
+                times=times[:s], energy_drift=e_drift[:s], mass_drifts=m_drift[:s],
+                snapshots=tuple(snaps) if snapshot_every > 0 else None))
+        e_drift[s] = abs(E - E0) / e_scale
+        m_drift[s, active] = np.abs(m[active] - m0[active]) / m0[active]
+        if snapshot_every > 0 and (s % snapshot_every == 0 or s == nsteps):
+            snaps.append((s * dt, t.State.from_array(grid, u)))
+    return t.EvolutionTrace(times=times, energy_drift=e_drift, mass_drifts=m_drift,
+                            snapshots=tuple(snaps) if snapshot_every > 0 else None)
+
+
+def assert_same_trace(trace, ref):
+    """Byte-identical times, mass drifts and snapshots; energy drifts to
+    1e-14 (the record sums in a different order)."""
+    assert trace.times.tobytes() == ref.times.tobytes()
+    assert trace.mass_drifts.tobytes() == ref.mass_drifts.tobytes()
+    assert np.max(np.abs(trace.energy_drift - ref.energy_drift)) <= 1e-14
+    assert (trace.snapshots is None) == (ref.snapshots is None)
+    if ref.snapshots is not None:
+        assert [s for s, _ in trace.snapshots] == [s for s, _ in ref.snapshots]
+        for (_, a), (_, b) in zip(trace.snapshots, ref.snapshots):
+            assert a.stack().tobytes() == b.stack().tobytes()
+
+
 class TestStep:
     def test_zero_state(self, grid40, model_ones):
         zero = t.State.from_array(grid40, np.zeros((3, 1024), dtype=complex))
@@ -91,6 +162,22 @@ class TestStep:
         final = trace.snapshots[-1][1]
         assert y_norm_diff(final.stack(), manual.stack(), grid40) <= 1e-13
 
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.2, 0.0, 0.8)],
+                             ids=["all_mass", "zero_mass"])
+    @pytest.mark.parametrize("a", [np.ones((3, 3)), ASYMMETRIC_A],
+                             ids=["ones", "asymmetric"])
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_evolve_matches_reference_loop(self, n, p, a, masses, dt):
+        # the stacked inverse transform and the dot-product record leave the
+        # trajectory bit for bit as the plain three-transform loop has it
+        grid = t.make_grid(n, 40.0)
+        model = t.CouplingModel(a, p)
+        state = moving_triple(grid, masses)
+        trace = t.evolve(state, 0.02, dt, model, snapshot_every=3)
+        assert_same_trace(trace, reference_evolve(state, 0.02, dt, model, 3))
+
 
 class TestModulusPass:
     """The phase coefficient and the per-step record take |u| once; the
@@ -111,14 +198,18 @@ class TestModulusPass:
     def test_mass_energy_bitwise(self, grid40, p, rng):
         from scipy.fft import fft
         from trinls.evolution import _mass_energy
-        from trinls.model import _energy_array
+        from trinls.model import _energy_array, _energy_terms
         model = t.CouplingModel(ASYMMETRIC_A, p)
         u = t.random_smooth_state(grid40, rng)
         uh = fft(u, axis=-1)
         m, E = _mass_energy(u, uh, grid40, model)
         assert m.tobytes() == (grid40.spacing
                                * np.sum(np.abs(u) ** 2, axis=1)).tobytes()
-        assert E == _energy_array(u, grid40, model, uh)
+        # the energy reduces by dot products, in another summation order
+        # than the kernel: equal to 1e-14 of the sum of the term magnitudes
+        kin, inter = _energy_terms(u, grid40, model, uh)
+        scale = np.sum(kin) + np.sum(inter) / p
+        assert abs(E - _energy_array(u, grid40, model, uh)) <= 1e-14 * scale
 
 
 class TestConservation:
@@ -212,6 +303,25 @@ class TestBlowUpGuard:
                 t.evolve(S, 1.0, 1e-3, model)
         assert err.value.trace is not None
         assert err.value.trace.times.shape[0] >= 1
+
+    def test_partial_trace_ends_at_first_non_finite_step(self, grid40):
+        model = t.CouplingModel(np.ones((3, 3)), 2.5)
+        u = np.full((3, 1024), 1e200, dtype=complex)
+        u *= np.exp(-grid40.nodes ** 2)[None, :]
+        S = t.State.from_array(grid40, u)
+        with np.errstate(all="ignore"):
+            with pytest.raises(t.BlowUpError) as err:
+                t.evolve(S, 1.0, 1e-3, model, snapshot_every=1)
+            with pytest.raises(t.BlowUpError) as ref:
+                reference_evolve(S, 1.0, 1e-3, model, snapshot_every=1)
+        trace = err.value.trace
+        assert_same_trace(trace, ref.value.trace)
+        assert trace.energy_drift[0] == 0.0
+        assert np.all(np.isfinite(trace.energy_drift))
+        assert np.all(np.isfinite(trace.mass_drifts))
+        # one snapshot per completed step, none at or after the failing one
+        assert len(trace.snapshots) == len(trace.times)
+        assert trace.snapshots[-1][0] < len(trace.times) * 1e-3
 
     def test_rejects_zero_dt(self, gs_equal, model_ones):
         with pytest.raises(ValueError):

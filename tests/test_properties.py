@@ -1,16 +1,19 @@
-"""Parameter-space properties of `minimize`, drawn by hypothesis.
+"""Parameter-space properties of `minimize` and `evolve`, drawn by hypothesis.
 
-Inputs mirror the benchmark's random cases: a symmetric coupling matrix with
-entries in [0.8, 1.2], p in [2, 2.5], one to three active components, and
-masses drawn through a target frequency omega in [0.3, 2] (the mass of the
-one-component sech ground state at that frequency, shared unevenly over the
-active components), which keeps the ground state resolved on n = 256, L = 40.
+Inputs to `minimize` mirror the benchmark's random cases: a symmetric
+coupling matrix with entries in [0.8, 1.2], p in [2, 2.5], one to three
+active components, and masses drawn through a target frequency omega in
+[0.3, 2] (the mass of the one-component sech ground state at that
+frequency, shared unevenly over the active components), which keeps the
+ground state resolved on n = 256, L = 40.  `evolve` starts from smooth
+random states on the same grid.
 """
 
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.fft import fft
 
 import trinls as t
 from trinls.ground_state import _residual_target
@@ -26,8 +29,9 @@ def sech_mass(omega, a, p):
     return (omega * p / a) ** nu * beta / (math.sqrt(omega) * (p - 1.0))
 
 
-@st.composite
-def cases(draw):
+def couplings(draw):
+    """Symmetric a with entries in [0.8, 1.2], p in [2, 2.5] and the sorted
+    indices of one to three active components."""
     a = np.empty((3, 3))
     iu = np.triu_indices(3)
     a[iu] = draw(st.lists(st.floats(0.8, 1.2), min_size=6, max_size=6))
@@ -35,6 +39,12 @@ def cases(draw):
     p = draw(st.floats(2.0, 2.5))
     active = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3,
                                   unique=True)))
+    return a, p, active
+
+
+@st.composite
+def cases(draw):
+    a, p, active = couplings(draw)
     k = len(active)
     # k equal components with equal coupling a reduce to one component with
     # coupling a k^(2-p) and the total mass
@@ -64,3 +74,33 @@ def test_minimize_properties(case):
     slack = TOLS.energy_monotone_factor * cfg.energy_tol
     assert np.all(np.diff(gs.energy_history) <= slack)
     assert gs.iterations <= 40
+
+
+@st.composite
+def trajectories(draw):
+    a, p, active = couplings(draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = t.random_smooth_state(GRID, rng, amplitude=draw(st.floats(0.3, 1.5)))
+    u[[j for j in range(3) if j not in active]] = 0.0
+    return t.CouplingModel(a, p), t.State.from_array(GRID, u)
+
+
+def y_norm(d, grid):
+    w = 1.0 + grid.wavenumbers ** 2
+    dh = fft(d, axis=-1)
+    return float(np.sqrt(grid.spacing / grid.n * np.sum(w * np.abs(dh) ** 2)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(trajectories(), st.integers(1, 10))
+def test_evolve_properties(case, steps):
+    model, state = case
+    dt = 1e-3
+    trace = t.evolve(state, 50 * dt, dt, model)
+    assert trace.mass_drifts.max() <= TOLS.mass_drift
+
+    short = t.evolve(state, steps * dt, dt, model, snapshot_every=steps)
+    manual = state
+    for _ in range(steps):
+        manual = t.step(manual, dt, model)
+    assert y_norm(short.snapshots[-1][1].stack() - manual.stack(), GRID) <= 1e-13
