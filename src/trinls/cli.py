@@ -90,16 +90,20 @@ _REQUIRED = ("grid", "coupling", "masses")
 
 def _get(section, key, conv, what, default=...):
     """section[key] converted by `conv`; `default` when absent (required
-    when no default is given).  Bad values raise a ConfigError naming it."""
+    when no default is given).  Bad values, and non-finite ones for float
+    keys, raise a ConfigError naming it."""
     raw = section.get(key)
     if raw is None:
         if default is ...:
             raise ConfigError(f"missing required key {what}.{key}")
         return default
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError as err:
         raise ConfigError(f"invalid value for {what}.{key}: {raw!r}") from err
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"invalid value for {what}.{key}: {raw!r} is not finite")
+    return value
 
 
 def _parse_splits(raw: str) -> tuple:
@@ -112,9 +116,12 @@ def _parse_splits(raw: str) -> tuple:
         if len(comps) != 3:
             raise ConfigError(f"subadd.splits entry {part!r} is not an r,s,t triple")
         try:
-            splits.append(tuple(float(c) for c in comps))
+            split = tuple(float(c) for c in comps)
         except ValueError as err:
             raise ConfigError(f"invalid number in subadd.splits entry {part!r}") from err
+        if not all(map(math.isfinite, split)):
+            raise ConfigError(f"subadd.splits entry {part!r} is not finite")
+        splits.append(split)
     if not splits:
         raise ConfigError("subadd.splits is empty")
     return tuple(splits)
@@ -227,6 +234,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             raise ConfigError("invalid value for stability.delta: must be >= 0")
         if stability["sample_every"] <= 0:
             raise ConfigError("invalid value for stability.sample_every: must be > 0")
+        if stability["eps"] is not None and stability["eps"] <= 0:
+            raise ConfigError("invalid value for stability.eps: must be > 0")
 
     subadd_splits = None
     if "subadd" in parser:

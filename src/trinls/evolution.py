@@ -6,20 +6,23 @@ One step of size dt is the symmetric composition
     full nonlinear: u_j <- exp( i dt (sum_k a_kj |u_k|^p) |u_j|^{p-2} ) u_j
     half linear again.
 
-The loop carries the spectrum F[u] from one step to the next, so a step
-costs two transform calls: the forward one out of the nonlinear substep and
-one inverse transform of a stacked (6, n) array whose rows give the next
-nonlinear substep's input and the recorded samples u(t_n), bit for bit as
-separate calls would (time-splitting spectral scheme of Bao, Jin &
-Markowich, JCP 175, 2002).  The per-step record reduces the energy by dot
-products; the drifts are formed once after the loop.
+The loop carries the spectrum F[u] from one step to the next (time-splitting
+spectral scheme of Bao, Jin & Markowich, JCP 175, 2002).  A step that is
+neither recorded nor snapshotted costs two transform calls of three rows:
+the forward one out of the nonlinear substep and the inverse one into the
+next.  A recorded step makes its inverse transform of a stacked (6, n)
+array instead, whose rows give the next nonlinear substep's input and the
+samples u(t_n), bit for bit as separate calls would; its record reduces the
+energy by dot products, and the drifts are formed once after the loop.
 
 The nonlinear substep is exact: the coefficients depend only on the moduli
 |u_m|, and a simultaneous pure phase rotation of the components leaves every
-modulus unchanged.  Both substeps are L^2 isometries per component, so the
-per-component masses are conserved to round-off; the energy is conserved up
-to the O(dt^2) splitting error.  The scheme is unconditionally stable;
-accuracy requires dt well below 1/max(k^2).
+modulus unchanged.  Its factor cos + i sin takes cos = sqrt(1 - sin^2)
+wherever every phase lies in [-pi/4, pi/4] (within 1 ulp of np.cos there),
+and np.cos elsewhere.  Both substeps are L^2 isometries per component, so
+the per-component masses are conserved to round-off; the energy is
+conserved up to the O(dt^2) splitting error.  The scheme is unconditionally
+stable; accuracy requires dt well below 1/max(k^2).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class EvolutionTrace:
-    """Per-step conservation record of one trajectory.
+    """Conservation record of one trajectory.
 
     times has one entry per recorded instant (t = 0 included); energy_drift
     is relative |H(t) - H(0)| / |H(0)|; mass_drifts has shape (len(times), 3)
@@ -69,20 +72,37 @@ def _phase_coefficient(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     return _coefficients(u, a, p, mod ** p) * _mod_pow(mod, p - 2.0)
 
 
+def _phase_factor(phase: np.ndarray, bound: float, rot: np.ndarray) -> None:
+    """Write cos(phase) + i sin(phase) into the complex buffer `rot`, given
+    bound >= max |phase|; `phase` is overwritten with its sine.  Up to
+    bound = pi/4, cos = sqrt(1 - sin^2) (cos >= 1/sqrt(2) there, so the error
+    of sin passes to cos at most one to one); past it, and for a NaN bound,
+    np.cos.  Both parts are formed contiguously, then copied into `rot`."""
+    if bound <= math.pi / 4:
+        sin = np.sin(phase, out=phase)
+        cos = 1.0 - sin * sin
+        np.sqrt(cos, out=cos)
+    else:
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+    rot.real = cos
+    rot.imag = sin
+
+
 def _strang(v: np.ndarray, half: np.ndarray, dt: float, model: CouplingModel,
-            rot: np.ndarray, out: np.ndarray) -> np.ndarray:
+            rot: np.ndarray, out: np.ndarray):
     """Rest of one Strang step from the samples v after the opening half
     linear step (`half` = exp(-i k^2 dt/2)): v is rotated in place by the
-    phase factor cos(theta) + i sin(theta), transformed and given the closing
-    half step; the next spectrum goes to `out`, which may be `rot`.  `rot`
-    is a complex work buffer of v's shape; cos and sin write contiguous
-    arrays, which are then copied into its strided parts."""
+    phase factor, transformed and given the closing half step; the next
+    spectrum goes to `out`, which may be `rot`, a complex work buffer of v's
+    shape.  Returns the spectrum and the largest rate theta (all >= 0; NaN
+    passes through the max), finite exactly when the step's result is."""
     theta = _phase_coefficient(v, model.a, model.p)
+    peak = float(theta.max())
     theta *= dt
-    rot.real = np.cos(theta)
-    rot.imag = np.sin(theta, out=theta)
+    _phase_factor(theta, peak * abs(dt), rot)
     v *= rot
-    return np.multiply(fft(v, axis=-1), half, out=out)
+    return np.multiply(fft(v, axis=-1), half, out=out), peak
 
 
 def step(state: State, dt: float, model: CouplingModel) -> State:
@@ -92,7 +112,7 @@ def step(state: State, dt: float, model: CouplingModel) -> State:
     u = state.stack()
     v = ifft(half * fft(u, axis=-1), axis=-1)
     rot = np.empty_like(u)
-    uh = _strang(v, half, dt, model, rot, out=rot)
+    uh, _ = _strang(v, half, dt, model, rot, out=rot)
     return State.from_array(grid, ifft(uh, axis=-1))
 
 
@@ -127,45 +147,67 @@ def _trace(times, masses, energies, snaps) -> EvolutionTrace:
 
 
 def evolve(state0: State, T: float, dt: float, model: CouplingModel,
-           snapshot_every: int = 0) -> EvolutionTrace:
-    """Integrate for round(T / |dt|) steps, recording drifts every step.
+           snapshot_every: int = 0, record_every: int = 1) -> EvolutionTrace:
+    """Integrate for round(T / |dt|) steps, recording the drifts at t = 0,
+    every `record_every` steps and at the last step.
 
     dt < 0 integrates backwards.  Snapshots of the full state are stored
-    every `snapshot_every` steps (0 disables; t = 0 is always included when
-    enabled).  Raises BlowUpError with the partial trace on NaN detection;
-    the check rides on the per-step energy record, so it costs nothing.
+    every `snapshot_every` steps (0 disables; t = 0 and the last step are
+    always included when enabled).  Every step checks its phase rates for a
+    non-finite value, which flags exactly the first non-finite state, and
+    every recorded step its energy, which can overflow first (p > 2); either
+    raises BlowUpError there with the trace of the rows recorded before it.
     """
     if dt == 0:
         raise ValueError("dt must be non-zero")
     if T < 0:
         raise ValueError("T must be non-negative; use dt < 0 to go backwards")
+    if record_every <= 0:
+        raise ValueError("record_every must be positive")
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
-    times = np.arange(nsteps + 1) * dt
+    recorded = list(range(0, nsteps + 1, record_every))
+    if recorded[-1] != nsteps:
+        recorded.append(nsteps)
+    times = np.array(recorded) * dt
     u = state0.stack()
     uh = fft(u, axis=-1)
     kin_w = grid.spacing / grid.n * np.repeat(grid.wavenumbers ** 2, 2)
-    masses = np.empty((nsteps + 1, 3))
-    energies = np.empty(nsteps + 1)
+    masses = np.empty((len(recorded), 3))
+    energies = np.empty(len(recorded))
     masses[0], energies[0] = _mass_energy(u, uh, grid, model, kin_w)
+    rows = 1
     snaps = [(0.0, State.from_array(grid, u))] if snapshot_every > 0 else None
 
+    def blow_up(what, s):
+        partial = _trace(times[:rows], masses[:rows], energies[:rows], snaps)
+        return BlowUpError(f"non-finite {what} at t = {s * dt:g}", trace=partial)
+
     # rows 0-2: the next step's spectrum after its opening half step, rows
-    # 3-5: the spectrum at t_s; one inverse transform yields both samples
+    # 3-5: the spectrum at t_s; on a recorded or snapshotted step one
+    # inverse transform yields both samples, on any other rows 0-2 alone
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     pair = np.empty((6, grid.n), dtype=complex)
     rot = np.empty_like(u)
     v = ifft(half * uh, axis=-1)
     for s in range(1, nsteps + 1):
-        uh = _strang(v, half, dt, model, rot, out=pair[3:])
+        uh, peak = _strang(v, half, dt, model, rot, out=pair[3:])
+        if not math.isfinite(peak):
+            raise blow_up("state", s)
         np.multiply(half, uh, out=pair[:3])
+        record = s % record_every == 0 or s == nsteps
+        snap = snaps is not None and (s % snapshot_every == 0 or s == nsteps)
+        if not (record or snap):
+            v = ifft(pair[:3], axis=-1)
+            continue
         both = ifft(pair, axis=-1)
         v, u = both[:3], both[3:]
-        masses[s], energies[s] = _mass_energy(u, uh, grid, model, kin_w)
-        if not math.isfinite(energies[s]):
-            partial = _trace(times[:s], masses[:s], energies[:s], snaps)
-            raise BlowUpError(f"non-finite state at t = {s * dt:g}", trace=partial)
-        if snaps is not None and (s % snapshot_every == 0 or s == nsteps):
+        if record:
+            masses[rows], energies[rows] = _mass_energy(u, uh, grid, model, kin_w)
+            if not math.isfinite(energies[rows]):
+                raise blow_up("energy", s)
+            rows += 1
+        if snap:
             snaps.append((s * dt, State.from_array(grid, u.copy())))
 
     return _trace(times, masses, energies, snaps)

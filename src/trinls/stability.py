@@ -189,8 +189,9 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     """Perturb, evolve, and sample the orbital distance.
 
     eps defaults to 20 * delta (for the delta = 0 control, to the scheme
-    error allowance instead).  The returned trace has orbital_distance
-    filled at the sampled times and snapshots dropped.  A blow-up during
+    error allowance instead).  The returned trace records the drifts only at
+    the sampled times (t = 0, every `sample_every` steps and the last step),
+    has orbital_distance filled there and snapshots dropped.  A blow-up during
     evolution yields verdict "blow_up" with the partial trajectory.
     """
     if sample_every <= 0:
@@ -201,7 +202,8 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     initial = perturb(ground.profile, kind, delta, seed)
     blew_up = False
     try:
-        trace = evolve(initial, T, dt, model, snapshot_every=sample_every)
+        trace = evolve(initial, T, dt, model, snapshot_every=sample_every,
+                       record_every=sample_every)
     except BlowUpError as err:
         trace = err.trace
         blew_up = True

@@ -94,6 +94,23 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, text", [
+        ("evolution.t", BASE + "\n[evolution]\nt = nan\ndt = 1e-3\n"),
+        ("evolution.dt", BASE + "\n[evolution]\nt = 1.0\ndt = inf\n"),
+        ("masses.r", BASE.replace("r = 4.0", "r = inf")),
+        ("stability.delta", BASE + "\n[stability]\ndelta = nan\n"),
+        ("stability.eps", BASE + "\n[stability]\ndelta = 1e-3\neps = nan\n"),
+        ("stability.eps", BASE + "\n[stability]\ndelta = 1e-3\neps = -1\n"),
+        ("stability.eps", BASE + "\n[stability]\ndelta = 1e-3\neps = 0\n"),
+        ("subadd.splits", BASE + "\n[subadd]\nsplits = nan,0,0\n"),
+    ], ids=["t-nan", "dt-inf", "r-inf", "delta-nan", "eps-nan", "eps-negative",
+            "eps-zero", "split-nan"])
+    def test_non_finite_or_non_positive_value_names_key(self, tmp_path, capsys,
+                                                        key, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, line", [
         ("solver", "rearrange_every = 25"),
         ("solver", "refine = true"),

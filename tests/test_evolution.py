@@ -43,9 +43,10 @@ def moving_triple(grid, masses):
 
 
 def reference_evolve(state0, T, dt, model, snapshot_every=0):
-    """Plain Strang loop: three separate transforms per step, the energy
-    from the model kernel, drifts formed step by step.  `evolve` must give
-    the same trajectory bit for bit (its energy to round-off)."""
+    """Plain Strang loop: three separate transforms per step, the phase
+    factor written out, the energy from the model kernel, drifts formed step
+    by step and the guard on the energy.  `evolve` must give the same
+    trajectory bit for bit (its energy to round-off)."""
     from scipy.fft import fft, ifft
     from trinls.evolution import _phase_coefficient
     from trinls.model import _energy_array
@@ -72,8 +73,12 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
     for s in range(1, nsteps + 1):
         v = ifft(half * uh, axis=-1)
         theta = dt * _phase_coefficient(v, model.a, model.p)
-        np.cos(theta, out=rot.real)
-        np.sin(theta, out=rot.imag)
+        if np.max(np.abs(theta)) <= np.pi / 4:
+            rot.imag = np.sin(theta)
+            rot.real = np.sqrt(1.0 - rot.imag ** 2)
+        else:
+            rot.real = np.cos(theta)
+            rot.imag = np.sin(theta)
         v *= rot
         uh = fft(v, axis=-1)
         uh *= half
@@ -177,6 +182,118 @@ class TestStep:
         state = moving_triple(grid, masses)
         trace = t.evolve(state, 0.02, dt, model, snapshot_every=3)
         assert_same_trace(trace, reference_evolve(state, 0.02, dt, model, 3))
+
+
+def recorded_steps(nsteps, record_every):
+    """Step indices `evolve` records: 0, every record_every-th, the last."""
+    steps = list(range(0, nsteps + 1, record_every))
+    return steps if steps[-1] == nsteps else steps + [nsteps]
+
+
+class TestRecordEvery:
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_rows_are_the_per_step_rows(self, p, record_every, dt):
+        # 250 steps: a multiple of neither 7 nor 100; snapshots every 9 steps
+        grid = t.make_grid(256, 40.0)
+        model = t.CouplingModel(ASYMMETRIC_A, p)
+        state = moving_triple(grid, (1.2, 0.0, 0.8))
+        full = t.evolve(state, 0.25, dt, model, snapshot_every=9)
+        sampled = t.evolve(state, 0.25, dt, model, snapshot_every=9,
+                           record_every=record_every)
+        rows = recorded_steps(250, record_every)
+        assert rows[-1] == 250
+        assert sampled.times.tobytes() == full.times[rows].tobytes()
+        assert sampled.energy_drift.tobytes() == full.energy_drift[rows].tobytes()
+        assert sampled.mass_drifts.tobytes() == full.mass_drifts[rows].tobytes()
+        assert [s for s, _ in sampled.snapshots] == [s for s, _ in full.snapshots]
+        for (_, a), (_, b) in zip(sampled.snapshots, full.snapshots):
+            assert a.stack().tobytes() == b.stack().tobytes()
+
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_rejects_non_positive(self, gs_equal, model_ones, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones,
+                     record_every=record_every)
+
+    def test_stability_matches_per_step_record(self, gs_equal, model_ones,
+                                                monkeypatch):
+        # stability runs record at their sampling cadence; forcing a record
+        # on every step must leave the distances and their times unchanged
+        from trinls import evolution, stability
+        kw = dict(delta=1e-2, T=0.35, dt=1e-3, sample_every=100, seed=4)
+        sampled = t.stability_experiment(gs_equal, model_ones,
+                                         "mass_preserving_random", **kw)
+
+        def per_step(*args, record_every, **kwargs):
+            return evolution.evolve(*args, record_every=1, **kwargs)
+
+        monkeypatch.setattr(stability, "evolve", per_step)
+        full = t.stability_experiment(gs_equal, model_ones,
+                                      "mass_preserving_random", **kw)
+        rows = recorded_steps(350, 100)
+        assert sampled.times_sampled.tobytes() == full.times_sampled.tobytes()
+        assert (sampled.trace.orbital_distance.tobytes()
+                == full.trace.orbital_distance.tobytes())
+        assert sampled.sup_distance == full.sup_distance
+        assert sampled.verdict == full.verdict == "bounded"
+        assert sampled.trace.times.tobytes() == sampled.times_sampled.tobytes()
+        assert (sampled.trace.energy_drift.tobytes()
+                == full.trace.energy_drift[rows].tobytes())
+        assert (sampled.trace.mass_drifts.tobytes()
+                == full.trace.mass_drifts[rows].tobytes())
+
+
+class TestPhaseFactor:
+    """cos + i sin from one sine up to max |phase| = pi/4, np.cos past it."""
+
+    def test_one_sine_side(self):
+        from trinls.evolution import _phase_factor
+        rng = np.random.default_rng(5)
+        phase = np.concatenate([np.linspace(-np.pi / 4, np.pi / 4, 200000),
+                                rng.uniform(-1e-3, 1e-3, 100000)]).reshape(3, -1)
+        rot = np.empty(phase.shape, dtype=complex)
+        _phase_factor(phase.copy(), np.pi / 4, rot)
+        cos = np.cos(phase)
+        assert rot.imag.tobytes() == np.sin(phase).tobytes()
+        assert np.all(np.abs(rot.real - cos) <= np.spacing(cos))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(rot.real ** 2 + rot.imag ** 2 - 1.0)) <= 4 * eps
+
+    @pytest.mark.parametrize("bound", [np.nextafter(np.pi / 4, 4.0), 3.0, np.nan])
+    def test_fallback_side_is_numpy(self, bound):
+        from trinls.evolution import _phase_factor
+        phase = np.linspace(-3.0, 3.0, 3 * 1001).reshape(3, -1)
+        rot = np.empty(phase.shape, dtype=complex)
+        _phase_factor(phase.copy(), bound, rot)
+        assert rot.real.tobytes() == np.cos(phase).tobytes()
+        assert rot.imag.tobytes() == np.sin(phase).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_step_switches_at_max_phase(self, grid40, p, side, sign):
+        # a constant state: the linear substeps keep |u| to round-off, so dt
+        # puts max |theta dt| one part in 1e9 below or above pi/4
+        from scipy.fft import fft, ifft
+        from trinls.evolution import _phase_coefficient
+        model = t.CouplingModel(ASYMMETRIC_A, p)
+        u = np.ones((3, grid40.n)) * np.array([[1.0], [0.5j], [0.8]])
+        rate = _phase_coefficient(u, model.a, p).max()
+        dt = sign * (np.pi / 4) / rate * (1 + side * 1e-9)
+        half = np.exp(-1j * grid40.wavenumbers ** 2 * dt / 2)
+        v = ifft(half * fft(u, axis=-1), axis=-1)
+        theta = dt * _phase_coefficient(v, model.a, p)
+        assert (np.max(np.abs(theta)) > np.pi / 4) == (side > 0)
+        if side > 0:
+            rot = np.cos(theta) + 1j * np.sin(theta)
+        else:
+            sin = np.sin(theta)
+            rot = np.sqrt(1.0 - sin * sin) + 1j * sin
+        ref = ifft(fft(v * rot, axis=-1) * half, axis=-1)
+        state = t.State.from_array(grid40, u)
+        assert t.step(state, dt, model).stack().tobytes() == ref.tobytes()
 
 
 class TestModulusPass:
@@ -322,6 +439,58 @@ class TestBlowUpGuard:
         # one snapshot per completed step, none at or after the failing one
         assert len(trace.snapshots) == len(trace.times)
         assert trace.snapshots[-1][0] < len(trace.times) * 1e-3
+
+    @pytest.mark.parametrize("bad_step", [13, 14])
+    def test_sampled_record_stops_at_first_non_finite_step(self, grid40,
+                                                           monkeypatch, bad_step):
+        # an infinite rate on one step turns that step's state non-finite;
+        # the guard must fire there, not at the next recorded step
+        from trinls import evolution
+        calls = []
+
+        def rates(u, a, p):
+            calls.append(None)
+            theta = evolution._coefficients(u, a, p)
+            if len(calls) == bad_step:
+                theta[1, 100] = np.inf
+            return theta
+
+        monkeypatch.setattr(evolution, "_phase_coefficient", rates)
+        model = t.CouplingModel(np.ones((3, 3)), 2.0)
+        state = moving_triple(grid40, (1.0, 1.0, 1.0))
+        traces = {}
+        for record_every in (1, 7):
+            calls.clear()
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(t.BlowUpError) as err:
+                    t.evolve(state, 0.05, 1e-3, model, snapshot_every=5,
+                             record_every=record_every)
+            assert str(err.value) == f"non-finite state at t = {bad_step * 1e-3:g}"
+            assert len(calls) == bad_step
+            traces[record_every] = err.value.trace
+        full, sampled = traces[1], traces[7]
+        rows = [0, 7]              # the record at step 14 is never reached
+        assert len(full.times) == bad_step
+        assert sampled.times.tobytes() == full.times[rows].tobytes()
+        assert sampled.energy_drift.tobytes() == full.energy_drift[rows].tobytes()
+        assert sampled.mass_drifts.tobytes() == full.mass_drifts[rows].tobytes()
+        assert [s for s, _ in sampled.snapshots] == [0.0, 5e-3, 10e-3]
+        for (_, a), (_, b) in zip(sampled.snapshots, full.snapshots):
+            assert a.stack().tobytes() == b.stack().tobytes()
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_energy_overflow_raises_at_first_record(self, record_every):
+        # at p = 2.5 and |u| ~ 1e80 the rates stay finite while the energy
+        # overflows: the record, not the rate check, must flag it
+        grid = t.make_grid(256, 40.0)
+        model = t.CouplingModel(np.ones((3, 3)), 2.5)
+        u = np.stack([1e80 * np.exp(-grid.nodes ** 2 / 2).astype(complex)] * 3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(t.BlowUpError) as err:
+                t.evolve(t.State.from_array(grid, u), 0.05, 1e-3, model,
+                         record_every=record_every)
+        assert str(err.value) == f"non-finite energy at t = {record_every * 1e-3:g}"
+        assert err.value.trace.times.tolist() == [0.0]
 
     def test_rejects_zero_dt(self, gs_equal, model_ones):
         with pytest.raises(ValueError):
