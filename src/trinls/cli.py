@@ -7,17 +7,20 @@ Subcommands
     subadd     subadditivity margins for configured mass splits; margins.csv
     validate   built-in closed-form oracle checks; exit 0 iff all pass
 
-Config files are INI-style key = value text, parsed strictly: unknown
-sections or keys are rejected, physics parameters have no defaults, solver
-knobs do.  Schema (see README for details):
+Config files are INI-style key = value text, read strictly against one
+schema table (`_SCHEMA`): unknown sections or keys are rejected, physics
+parameters have no defaults, solver knobs do, floats must be finite, and
+every error names its section.key.  Accepted values (see README):
 
-    [grid]      n, length
-    [coupling]  a11, a12, a13, a22, a23, a33, p
-    [masses]    r, s, t
-    [solver]    tau, max_iters, residual_tol, energy_tol, seed, init,
-                init_profile, scheme, noise                (all optional)
-    [evolution] T, dt, snapshot_every
-    [stability] kind, delta, eps, seeds, sample_every      (eps optional)
+    [grid]      n (power of two >= 16), length > 0
+    [coupling]  a11, a12, a13, a22, a23, a33 > 0 (symmetric), 2 <= p < 3
+    [masses]    r, s, t >= 0, at least one > 0
+    [solver]    tau > 0, max_iters >= 1, residual_tol > 0, energy_tol > 0,
+                seed >= 0, init, init_profile (given exactly when
+                init = supplied), scheme, noise >= 0       (all optional)
+    [evolution] t >= 0, dt != 0 (t / |dt| steps at most sys.maxsize),
+                snapshot_every >= 0
+    [stability] kind, delta >= 0, eps > 0, seeds >= 0, sample_every > 0
     [subadd]    splits        e.g.  splits = 2,0,0 ; 1,0.5,0
     [output]    dir                                        (optional)
 
@@ -28,8 +31,8 @@ All scalar results go to JSON, field data to CSV.  Outputs are byte-identical
 across runs for a fixed config and seed; the wall-clock timestamp lives in a
 separate metadata.json.
 
-Exit codes: 0 ok, 1 config/input error, 2 non-convergence, 3 blow-up,
-4 validation failure.
+Exit codes: 0 ok, 1 config/input error (`ConfigError`), 2 non-convergence
+(`ConvergenceError`), 3 blow-up, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -55,7 +58,7 @@ from .model import (CouplingModel, MassTriple, Multipliers, State,
                     el_residual, energy, energy_gradient, random_smooth_state,
                     sech_profile)
 from .spectral import Field, Grid, make_grid
-from .stability import stability_experiment
+from .stability import PERTURBATION_KINDS, stability_experiment
 
 
 class ConfigError(ValueError):
@@ -74,180 +77,153 @@ class RunConfig:
     out_dir: str
 
 
-_SCHEMA = {
-    "grid": {"n", "length"},
-    "coupling": {"a11", "a12", "a13", "a22", "a23", "a33", "p"},
-    "masses": {"r", "s", "t"},
-    "solver": {"tau", "max_iters", "residual_tol", "energy_tol", "seed",
-               "init", "init_profile", "scheme", "noise"},
-    "evolution": {"t", "dt", "snapshot_every"},
-    "stability": {"kind", "delta", "eps", "seeds", "sample_every"},
-    "subadd": {"splits"},
-    "output": {"dir"},
-}
-_REQUIRED = ("grid", "coupling", "masses")
-
-
-def _get(section, key, conv, what, default=...):
-    """section[key] converted by `conv`; `default` when absent (required
-    when no default is given).  Bad values, and non-finite ones for float
-    keys, raise a ConfigError naming it."""
-    raw = section.get(key)
-    if raw is None:
-        if default is ...:
-            raise ConfigError(f"missing required key {what}.{key}")
-        return default
-    try:
-        value = conv(raw)
-    except ValueError as err:
-        raise ConfigError(f"invalid value for {what}.{key}: {raw!r}") from err
-    if conv is float and not math.isfinite(value):
-        raise ConfigError(f"invalid value for {what}.{key}: {raw!r} is not finite")
-    return value
-
-
-def _parse_splits(raw: str) -> tuple:
-    splits = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        comps = [c.strip() for c in part.split(",")]
-        if len(comps) != 3:
-            raise ConfigError(f"subadd.splits entry {part!r} is not an r,s,t triple")
-        try:
-            split = tuple(float(c) for c in comps)
-        except ValueError as err:
-            raise ConfigError(f"invalid number in subadd.splits entry {part!r}") from err
-        if not all(map(math.isfinite, split)):
-            raise ConfigError(f"subadd.splits entry {part!r} is not finite")
-        splits.append(split)
+def _splits(raw: str) -> tuple:
+    """`r,s,t ; r,s,t ...` as a tuple of finite float triples."""
+    splits = tuple(tuple(float(c) for c in part.split(","))
+                   for part in raw.split(";") if part.strip())
+    for split in splits:
+        if len(split) != 3 or not all(map(math.isfinite, split)):
+            raise ValueError(f"entry {split} is not a finite r,s,t triple")
     if not splits:
-        raise ConfigError("subadd.splits is empty")
-    return tuple(splits)
+        raise ValueError("no split given")
+    return splits
+
+
+def _ints(raw: str) -> tuple:
+    return tuple(int(x) for x in raw.split(","))
+
+
+# Range rules: (text for the error message, test of one value; a tuple
+# value passes when every entry does).
+_GE0 = (">= 0", lambda v: v >= 0)
+_GT0 = ("> 0", lambda v: v > 0)
+_NE0 = ("!= 0", lambda v: v != 0)
+_KIND = ("one of " + ", ".join(PERTURBATION_KINDS), PERTURBATION_KINDS.__contains__)
+_SOLVER = SolverConfig()
+
+# section -> (section required, {key -> (converter, default, range rule)});
+# a `...` default marks a required key.  The solver rows carry converters
+# and SolverConfig's defaults only, since SolverConfig checks its own
+# fields; make_grid, CouplingModel and MassTriple check grid, coupling and
+# masses.
+_SCHEMA = {
+    "grid": (True, {"n": (int, ..., None), "length": (float, ..., None)}),
+    "coupling": (True, {k: (float, ..., None) for k in
+                        ("a11", "a12", "a13", "a22", "a23", "a33", "p")}),
+    "masses": (True, {k: (float, ..., None) for k in ("r", "s", "t")}),
+    "solver": (False, {k: (conv, getattr(_SOLVER, k, None), None) for k, conv in (
+        ("tau", float), ("max_iters", int), ("residual_tol", float),
+        ("energy_tol", float), ("seed", int), ("init", str),
+        ("init_profile", str), ("scheme", str), ("noise", float))}),
+    "evolution": (False, {"t": (float, ..., _GE0), "dt": (float, ..., _NE0),
+                          "snapshot_every": (int, 0, _GE0)}),
+    "stability": (False, {
+        "kind": (str, "mass_preserving_random", _KIND),
+        "delta": (float, ..., _GE0),
+        "eps": (float, None, _GT0),
+        "seeds": (_ints, (0,), _GE0),
+        "sample_every": (int, 100, _GT0)}),
+    "subadd": (False, {"splits": (_splits, ..., None)}),
+    "output": (False, {"dir": (str, "out", None)}),
+}
+
+
+def _read_section(name: str, raw) -> dict:
+    """The schema pass: `raw` (key -> text) as key -> checked value, with
+    defaults filled in."""
+    rows = _SCHEMA[name][1]
+    for key in raw:
+        if key not in rows:
+            raise ConfigError(f"unknown key {name}.{key}")
+    values = {}
+    for key, (conv, default, rule) in rows.items():
+        what, text = f"{name}.{key}", raw.get(key)
+        if text is None:
+            if default is ...:
+                raise ConfigError(f"missing required key {what}")
+            values[key] = default
+            continue
+        try:
+            value = conv(text)
+        except ValueError as err:
+            raise ConfigError(f"invalid value for {what}: {err}") from err
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"invalid value for {what}: {text!r} is not finite")
+        items = value if isinstance(value, tuple) else (value,)
+        if rule and not all(map(rule[1], items)):
+            raise ConfigError(f"invalid value for {what}: {text!r} (must be {rule[0]})")
+        values[key] = value
+    return values
+
+
+def _build(prefix: str, factory, **kwargs):
+    """factory(**kwargs); its ValueError becomes a ConfigError that starts
+    with `prefix` (the section)."""
+    try:
+        return factory(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from err
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot parse config file {path!r}: {err}") from err
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for name in parser.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"invalid value for --seed: {seed_override} (must be >= 0)")
 
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-    for section in _REQUIRED:
-        if section not in parser:
-            raise ConfigError(f"missing required section [{section}]")
+    sec = {}
+    for name, (required, rows) in _SCHEMA.items():
+        # an absent section whose keys all have defaults reads as empty
+        if name in parser or all(row[1] is not ... for row in rows.values()):
+            sec[name] = _read_section(name, parser[name] if name in parser else {})
+        elif required:
+            raise ConfigError(f"missing required section [{name}]")
+        else:
+            sec[name] = None
 
-    g = parser["grid"]
-    try:
-        grid = make_grid(_get(g, "n", int, "grid"), _get(g, "length", float, "grid"))
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
+    c = sec["coupling"]
+    a = np.array([[c["a11"], c["a12"], c["a13"]],
+                  [c["a12"], c["a22"], c["a23"]],
+                  [c["a13"], c["a23"], c["a33"]]])
+    grid = _build("grid: ", make_grid, **sec["grid"])
+    model = _build("coupling: ", CouplingModel, a=a, p=c["p"])
+    masses = _build("masses: ", MassTriple, **sec["masses"])
 
-    c = parser["coupling"]
-    vals = {k: _get(c, k, float, "coupling") for k in _SCHEMA["coupling"]}
-    a = np.array([
-        [vals["a11"], vals["a12"], vals["a13"]],
-        [vals["a12"], vals["a22"], vals["a23"]],
-        [vals["a13"], vals["a23"], vals["a33"]],
-    ])
-    try:
-        model = CouplingModel(a=a, p=vals["p"])
-    except ValueError as err:
-        raise ConfigError(f"coupling: {err}") from err
-
-    m = parser["masses"]
-    try:
-        masses = MassTriple(_get(m, "r", float, "masses"),
-                            _get(m, "s", float, "masses"),
-                            _get(m, "t", float, "masses"))
-    except ValueError as err:
-        raise ConfigError(f"masses: {err}") from err
-
-    defaults = SolverConfig()
-    if "solver" in parser:
-        s = parser["solver"]
-        initial_state = None
-        if s.get("init", defaults.init) == "supplied":
-            profile_path = s.get("init_profile")
-            if profile_path is None:
-                raise ConfigError("solver.init = supplied requires solver.init_profile")
-            try:
-                initial_state = read_profile_csv(Path(profile_path), grid)
-            except (OSError, ValueError) as err:
-                raise ConfigError(
-                    f"cannot read solver.init_profile {profile_path!r}: {err}") from err
-        convs = {"tau": float, "max_iters": int, "residual_tol": float,
-                 "energy_tol": float, "seed": int, "init": str,
-                 "scheme": str, "noise": float}
-        knobs = {k: _get(s, k, conv, "solver", getattr(defaults, k))
-                 for k, conv in convs.items()}
+    knobs = sec["solver"]
+    profile = knobs.pop("init_profile")
+    if (profile is not None) != (knobs["init"] == "supplied"):
+        raise ConfigError("solver.init_profile must be given exactly when "
+                          "solver.init = supplied")
+    if profile is not None:
         try:
-            solver = SolverConfig(initial_state=initial_state, **knobs)
-        except ValueError as err:
-            raise ConfigError(f"solver: {err}") from err
-    else:
-        solver = defaults
-    if seed_override is not None:
-        solver = replace(solver, seed=seed_override)
-
-    evolution = None
-    if "evolution" in parser:
-        e = parser["evolution"]
-        evolution = {
-            "T": _get(e, "t", float, "evolution"),
-            "dt": _get(e, "dt", float, "evolution"),
-            "snapshot_every": _get(e, "snapshot_every", int, "evolution", 0),
-        }
-        if evolution["dt"] == 0:
-            raise ConfigError("invalid value for evolution.dt: must be non-zero")
-        if evolution["T"] < 0:
-            raise ConfigError("invalid value for evolution.t: must be non-negative")
-        if evolution["snapshot_every"] < 0:
-            raise ConfigError("invalid value for evolution.snapshot_every: must be >= 0")
-
-    stability = None
-    if "stability" in parser:
-        from .stability import PERTURBATION_KINDS
-
-        st = parser["stability"]
-        kind = st.get("kind", "mass_preserving_random")
-        if kind not in PERTURBATION_KINDS:
+            knobs["initial_state"] = read_profile_csv(Path(profile), grid)
+        except (OSError, ValueError) as err:
             raise ConfigError(
-                f"invalid value for stability.kind: {kind!r} "
-                f"(choose from {', '.join(PERTURBATION_KINDS)})")
-        seeds = _get(st, "seeds", lambda raw: tuple(int(x) for x in raw.split(",")),
-                     "stability", (0,))
-        if seed_override is not None:
-            seeds = (seed_override,)
-        stability = {
-            "kind": kind, "delta": _get(st, "delta", float, "stability"),
-            "eps": _get(st, "eps", float, "stability", None), "seeds": seeds,
-            "sample_every": _get(st, "sample_every", int, "stability", 100),
-        }
-        if not stability["delta"] >= 0:
-            raise ConfigError("invalid value for stability.delta: must be >= 0")
-        if stability["sample_every"] <= 0:
-            raise ConfigError("invalid value for stability.sample_every: must be > 0")
-        if stability["eps"] is not None and stability["eps"] <= 0:
-            raise ConfigError("invalid value for stability.eps: must be > 0")
+                f"cannot read solver.init_profile {profile!r}: {err}") from err
+    if seed_override is not None:
+        knobs["seed"] = seed_override
+        if sec["stability"] is not None:
+            sec["stability"]["seeds"] = (seed_override,)
+    solver = _build("solver.", SolverConfig, **knobs)
 
-    subadd_splits = None
-    if "subadd" in parser:
-        subadd_splits = _parse_splits(_get(parser["subadd"], "splits", str, "subadd"))
-
-    out_dir = "out"
-    if "output" in parser:
-        out_dir = parser["output"].get("dir", out_dir)
+    ev = sec["evolution"]
+    if ev is not None and ev["t"] / abs(ev["dt"]) > sys.maxsize:
+        raise ConfigError(f"invalid value for evolution.t: {ev['t']!r} is more "
+                          f"than sys.maxsize steps of |dt| = {abs(ev['dt'])!r}")
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
-                     evolution=evolution, stability=stability,
-                     subadd_splits=subadd_splits, out_dir=out_dir)
+                     evolution=ev, stability=sec["stability"],
+                     subadd_splits=sec["subadd"] and sec["subadd"]["splits"],
+                     out_dir=sec["output"]["dir"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +246,31 @@ def write_metadata(out: Path, argv) -> None:
     })
 
 
+def _write_csv(path: Path, header, rows, comment=None) -> None:
+    """One header row and `rows` as CSV, after an optional `# comment` line."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 PROFILE_HEADER = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
 
 
 def write_profile_csv(path: Path, state: State) -> None:
     u = state.stack()
-    with open(path, "w", newline="") as fh:
-        fh.write("# dimensionless units; one row per grid node, ordered by x\n")
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_HEADER)
-        cols = [state.grid.nodes]
-        for j in range(3):
-            cols += [u[j].real, u[j].imag]
-        writer.writerows(np.column_stack(cols).tolist())
+    cols = [state.grid.nodes]
+    for j in range(3):
+        cols += [u[j].real, u[j].imag]
+    _write_csv(path, PROFILE_HEADER, np.column_stack(cols).tolist(),
+               "dimensionless units; one row per grid node, ordered by x")
 
 
 def read_profile_csv(path: Path, grid: Grid) -> State:
-    rows = []
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line.strip())
+        rows = [line.strip() for line in fh if not line.startswith("#")]
     reader = csv.reader(rows)
     header = next(reader)
     if header != PROFILE_HEADER:
@@ -320,13 +299,11 @@ def write_groundstate_json(path: Path, gs: GroundState, model: CouplingModel) ->
 
 
 def write_trace_csv(path: Path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# dimensionless units; drifts are relative to t = 0\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "energy_drift", "mass_drift_1", "mass_drift_2",
-                         "mass_drift_3"])
-        writer.writerows(np.column_stack(
-            [trace.times, trace.energy_drift, trace.mass_drifts]).tolist())
+    _write_csv(path, ["t", "energy_drift", "mass_drift_1", "mass_drift_2",
+                      "mass_drift_3"],
+               np.column_stack([trace.times, trace.energy_drift,
+                                trace.mass_drifts]).tolist(),
+               "dimensionless units; drifts are relative to t = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +319,7 @@ def _solve_ground_state(cfg: RunConfig, quiet: bool) -> GroundState:
 
 
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    try:
-        gs = _solve_ground_state(cfg, quiet)
-    except ConvergenceError as err:
-        print(f"solve failed: {err}", file=sys.stderr)
-        return 2
+    gs = _solve_ground_state(cfg, quiet)
     write_groundstate_json(out / "groundstate.json", gs, cfg.model)
     write_profile_csv(out / "profile.csv", gs.profile)
     return 0
@@ -354,17 +327,14 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
     if cfg.evolution is None:
-        print("config error: [evolution] section required for evolve",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("[evolution] section required for evolve")
     try:
         state0 = read_profile_csv(Path(profile_path), cfg.grid)
-    except (OSError, ConfigError, ValueError) as err:
-        print(f"cannot load profile: {err}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot load profile: {err}") from err
     ev = cfg.evolution
     try:
-        trace = evolve(state0, ev["T"], ev["dt"], cfg.model,
+        trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
                        snapshot_every=ev["snapshot_every"])
         code = 0
     except BlowUpError as err:
@@ -373,18 +343,12 @@ def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int
         code = 3
     write_trace_csv(out / "trace.csv", trace)
     if trace.snapshots:
-        snapdir = out / "snapshots"
-        snapdir.mkdir(exist_ok=True)
-        index = []
-        for i, (t, snap) in enumerate(trace.snapshots):
-            name = f"snap_{i:06d}.csv"
-            write_profile_csv(snapdir / name, snap)
-            index.append((t, name))
-        with open(out / "snapshots.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "file"])
-            for t, name in index:
-                writer.writerow([repr(float(t)), name])
+        (out / "snapshots").mkdir(exist_ok=True)
+        index = [(repr(float(t)), f"snap_{i:06d}.csv")
+                 for i, (t, _) in enumerate(trace.snapshots)]
+        for (_, name), (_, snap) in zip(index, trace.snapshots):
+            write_profile_csv(out / "snapshots" / name, snap)
+        _write_csv(out / "snapshots.csv", ["t", "file"], index)
     if not quiet and code == 0:
         print(f"evolved to T = {trace.times[-1]:g}; "
               f"max energy drift = {trace.energy_drift.max():.3e}")
@@ -393,21 +357,15 @@ def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int
 
 def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.stability is None or cfg.evolution is None:
-        print("config error: [stability] and [evolution] sections required",
-              file=sys.stderr)
-        return 1
-    try:
-        gs = _solve_ground_state(cfg, quiet)
-    except ConvergenceError as err:
-        print(f"solve failed: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError("[stability] and [evolution] sections required")
+    gs = _solve_ground_state(cfg, quiet)
     st = cfg.stability
     ev = cfg.evolution
     summary = {"verdicts": {}, "sup_distances": {}, "delta": st["delta"]}
     code = 0
     for seed in st["seeds"]:
         rep = stability_experiment(
-            gs, cfg.model, st["kind"], st["delta"], ev["T"], ev["dt"],
+            gs, cfg.model, st["kind"], st["delta"], ev["t"], ev["dt"],
             st["sample_every"], eps=st["eps"], seed=seed)
         write_json(out / f"report_seed{seed}.json", {
             "delta": rep.delta, "eps": rep.eps, "kind": rep.kind,
@@ -430,52 +388,36 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.subadd_splits is None:
-        print("config error: [subadd] section required for subadd", file=sys.stderr)
-        return 1
+        raise ConfigError("[subadd] section required for subadd")
     total = cfg.masses
     parts = []
     for split in cfg.subadd_splits:
         rest = (total.r - split[0], total.s - split[1], total.t - split[2])
         if min(rest) < -1e-12:
-            print(f"config error: split {split} exceeds total masses",
-                  file=sys.stderr)
-            return 1
+            raise ConfigError(f"split {split} exceeds total masses")
         try:
             parts.append((MassTriple(*split),
                           MassTriple(*(max(v, 0.0) for v in rest))))
         except ValueError as err:
-            print(f"config error: invalid split {split}: {err}", file=sys.stderr)
-            return 1
-    try:
-        lam_total = minimize(cfg.model, total, cfg.grid, cfg.solver).lam
-    except ConvergenceError as err:
-        print(f"solve failed for the total masses: {err}", file=sys.stderr)
-        return 2
+            raise ConfigError(f"invalid split {split}: {err}") from err
+    lam_total = minimize(cfg.model, total, cfg.grid, cfg.solver).lam
     rows = []
     for split, (part1, part2) in zip(cfg.subadd_splits, parts):
-        try:
-            result = subadditivity_check(cfg.model, part1, part2, cfg.grid,
-                                         cfg.solver, lam_total=lam_total)
-        except ConvergenceError as err:
-            print(f"sub-solve failed for split {split}: {err}", file=sys.stderr)
-            return 2
-        rows.append(result)
+        res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
+                                  cfg.solver, lam_total=lam_total)
+        rows.append([repr(v) for v in (
+            res.part1.r, res.part1.s, res.part1.t, res.part2.r, res.part2.s,
+            res.part2.t, res.lam_total, res.lam_part1, res.lam_part2,
+            res.margin, res.tolerance)] + [str(res.inconclusive)])
         if not quiet:
-            print(f"split {split}: margin = {result.margin:.6f} "
-                  f"(tolerance {result.tolerance:.1e}, "
-                  f"{'inconclusive' if result.inconclusive else 'conclusive'})")
-    with open(out / "margins.csv", "w", newline="") as fh:
-        fh.write("# dimensionless units; margin = lambda(total) - lambda(p1) - lambda(p2)\n")
-        writer = csv.writer(fh)
-        writer.writerow(["r1", "s1", "t1", "r2", "s2", "t2", "lambda_total",
-                         "lambda_part1", "lambda_part2", "margin", "tolerance",
-                         "inconclusive"])
-        for res in rows:
-            writer.writerow([
-                repr(res.part1.r), repr(res.part1.s), repr(res.part1.t),
-                repr(res.part2.r), repr(res.part2.s), repr(res.part2.t),
-                repr(res.lam_total), repr(res.lam_part1), repr(res.lam_part2),
-                repr(res.margin), repr(res.tolerance), str(res.inconclusive)])
+            print(f"split {split}: margin = {res.margin:.6f} "
+                  f"(tolerance {res.tolerance:.1e}, "
+                  f"{'inconclusive' if res.inconclusive else 'conclusive'})")
+    _write_csv(out / "margins.csv",
+               ["r1", "s1", "t1", "r2", "s2", "t2", "lambda_total",
+                "lambda_part1", "lambda_part2", "margin", "tolerance",
+                "inconclusive"], rows,
+               "dimensionless units; margin = lambda(total) - lambda(p1) - lambda(p2)")
     return 0
 
 
@@ -579,25 +521,23 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         return cmd_validate(out, args.quiet)
 
+    # the exit-code map: the cmd_* functions raise, main reports
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        out = Path(args.out) if args.out else Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_metadata(out, [args.command] + argv[1:])
+        if args.command == "evolve":
+            return cmd_evolve(cfg, args.profile, out, args.quiet)
+        cmd = {"solve": cmd_solve, "stability": cmd_stability,
+               "subadd": cmd_subadd}[args.command]
+        return cmd(cfg, out, args.quiet)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metadata(out, [args.command] + argv[1:])
-
-    if args.command == "solve":
-        return cmd_solve(cfg, out, args.quiet)
-    if args.command == "evolve":
-        return cmd_evolve(cfg, args.profile, out, args.quiet)
-    if args.command == "stability":
-        return cmd_stability(cfg, out, args.quiet)
-    if args.command == "subadd":
-        return cmd_subadd(cfg, out, args.quiet)
-    raise AssertionError(f"unhandled command {args.command}")
+    except ConvergenceError as err:
+        print(f"solve failed: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

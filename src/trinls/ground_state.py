@@ -96,14 +96,19 @@ class SolverConfig:
     noise: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.residual_tol <= 0 or self.energy_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.init not in ("gaussian_bumps", "sech_guess", "supplied"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.scheme not in ("preconditioned", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name, ok, rule in (
+                ("tau", self.tau > 0, "> 0"),
+                ("max_iters", self.max_iters >= 1, ">= 1"),
+                ("residual_tol", self.residual_tol > 0, "> 0"),
+                ("energy_tol", self.energy_tol > 0, "> 0"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("noise", self.noise >= 0, ">= 0"),
+                ("init", self.init in ("gaussian_bumps", "sech_guess", "supplied"),
+                 "gaussian_bumps, sech_guess or supplied"),
+                ("scheme", self.scheme in ("preconditioned", "explicit"),
+                 "preconditioned or explicit")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.init == "supplied" and self.initial_state is None:
             raise ValueError("init='supplied' requires initial_state")
 

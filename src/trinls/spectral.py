@@ -53,13 +53,15 @@ class Grid:
 def make_grid(n: int, length: float) -> Grid:
     """Build a periodic grid with nodes centered at 0.
 
-    n must be a power of two with n >= 16; length must be positive.
+    n must be a power of two with n >= 16; length must be positive, with a
+    spacing length / n that does not underflow to 0.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got n={n}")
-    if not length > 0:
-        raise ValueError(f"domain length must be positive, got {length}")
     h = length / n
+    if not h > 0:
+        raise ValueError(f"domain length must be positive, got {length} "
+                         f"(spacing {h})")
     x = -length / 2 + h * np.arange(n)
     k = 2 * np.pi * np.fft.fftfreq(n, d=h)
     return Grid(n=n, length=float(length), spacing=h,

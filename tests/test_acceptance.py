@@ -18,6 +18,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import trinls as t
 from trinls.cli import main, read_profile_csv
@@ -245,6 +246,7 @@ def test_criterion_7_subadditivity(grid40, model_ones):
            f"random-split margins {details}")
 
 
+@pytest.mark.slow
 def test_criterion_8_orbital_stability(gs_equal, model_ones):
     started = time.monotonic()
     worst = {}

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import trinls as t
-from trinls.cli import main, read_profile_csv
+from trinls.cli import (_SCHEMA, ConfigError, RunConfig, load_config, main,
+                        read_profile_csv)
 
 BASE = """\
 [grid]
@@ -30,6 +32,23 @@ t = 0.0
 [solver]
 seed = 0
 """
+
+
+# every schema key but solver.init_profile, which needs init = supplied
+FULL_CFG = {
+    "grid": {"n": "256", "length": "40.0"},
+    "coupling": {k: "1.0" for k in ("a11", "a12", "a13", "a22", "a23", "a33")}
+    | {"p": "2.0"},
+    "masses": {"r": "1.0", "s": "1.0", "t": "1.0"},
+    "solver": {"tau": "1.0", "max_iters": "50", "residual_tol": "5e-12",
+               "energy_tol": "1e-12", "seed": "0", "init": "gaussian_bumps",
+               "scheme": "preconditioned", "noise": "0.0"},
+    "evolution": {"t": "1.0", "dt": "1e-3", "snapshot_every": "0"},
+    "stability": {"kind": "mass_preserving_random", "delta": "1e-3",
+                  "eps": "0.02", "seeds": "0,1", "sample_every": "100"},
+    "subadd": {"splits": "0.5,0.5,0.5"},
+    "output": {"dir": "out"},
+}
 
 
 def write_config(tmp_path, text=BASE, name="run.ini"):
@@ -88,6 +107,14 @@ class TestConfigValidation:
         ("stability.sample_every", BASE + "\n[stability]\ndelta = 1e-3\n"
          "sample_every = 0\n"),
         ("stability.delta", BASE + "\n[stability]\ndelta = -1e-3\n"),
+        ("solver.seed", BASE.replace("seed = 0", "seed = -1")),
+        ("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\nseeds = -1\n"),
+        ("solver.noise", BASE.replace("seed = 0", "seed = 0\nnoise = -1")),
+        ("solver.max_iters", BASE.replace("seed = 0", "seed = 0\nmax_iters = 0")),
+        ("solver.init_profile", BASE.replace("seed = 0",
+                                             "seed = 0\ninit_profile = x.csv")),
+        ("solver.init_profile", BASE.replace("seed = 0", "seed = 0\ninit = supplied")),
+        ("evolution.t", BASE + "\n[evolution]\nt = 1e300\ndt = 1e-3\n"),
     ], ids=lambda v: v if "[" not in v else "cfg")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, text):
         cfg = write_config(tmp_path, text)
@@ -110,6 +137,61 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_negative_seed_flag_names_flag(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, STAB_CFG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_unparsable_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("seed = 0", "seed = 0\nseed = 1"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", [
+        ("evolve", "[evolution]"), ("stability", "[stability]"),
+        ("subadd", "[subadd]")])
+    def test_command_without_its_section(self, tmp_path, capsys, command, section):
+        cfg = write_config(tmp_path)
+        extra = ["--profile", str(tmp_path / "p.csv")] if command == "evolve" else []
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+                    + extra) == 1
+        assert section in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s, (_, rows) in
+                                              _SCHEMA.items() for k in rows])
+    @given(text=st.one_of(
+        st.integers().map(str), st.floats().map(str),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)))
+    @example(text="nan")
+    @example(text="-inf")
+    @example(text="-0.0")
+    @example(text="1e308")
+    @example(text="5e-324")
+    @example(text="-1")
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_any_value_loads_or_names_section(self, tmp_path_factory, section,
+                                              key, text):
+        """One drawn value in an otherwise valid config that sets every key
+        but init_profile: load_config returns or raises a ConfigError naming
+        the section.  Nothing is solved."""
+        if (section, key) == ("grid", "n"):
+            try:
+                assume(int(text) <= 2 ** 16)   # make_grid allocates n nodes
+            except ValueError:
+                pass
+        sections = {name: dict(rows) for name, rows in FULL_CFG.items()}
+        sections[section][key] = text
+        path = tmp_path_factory.mktemp("cfg") / "any.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+            for name, rows in sections.items()))
+        try:
+            assert isinstance(load_config(str(path)), RunConfig)
+        except ConfigError as err:
+            assert section in str(err)
 
     @pytest.mark.parametrize("section, line", [
         ("solver", "rearrange_every = 25"),
@@ -170,6 +252,18 @@ class TestSolve:
             "seed = 0", "seed = 0\nmax_iters = 2"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("command, extra", [
+        ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n"
+         "\n[stability]\ndelta = 1e-3\n"),
+        ("subadd", "\n[subadd]\nsplits = 2,0,0\n")])
+    def test_nonconvergence_exit_code_every_command(self, tmp_path, capsys,
+                                                    command, extra):
+        cfg = write_config(tmp_path, BASE.replace(
+            "seed = 0", "seed = 0\nmax_iters = 2") + extra)
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert "solve failed" in capsys.readouterr().err
 
     def test_supplied_init_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -130,6 +130,13 @@ class TestSolverContracts:
         gs = t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3), grid40, cfg)
         assert abs(gs.lam + 4 / 3) <= TOLS.lambda_rel * (4 / 3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", -5), ("seed", -1), ("noise", -1.0),
+        ("noise", float("nan")), ("tau", float("nan")), ("init", "bogus")])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            t.SolverConfig(**{field: value})
+
     def test_supplied_requires_state(self):
         with pytest.raises(ValueError, match="initial_state"):
             t.SolverConfig(init="supplied")

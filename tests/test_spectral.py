@@ -35,6 +35,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             t.make_grid(64, 0.0)
 
+    @pytest.mark.parametrize("length", [5e-324, float("nan"), -1.0])
+    def test_rejects_length_without_positive_spacing(self, length):
+        with pytest.raises(ValueError, match="domain length"):
+            t.make_grid(64, length)
+
     def test_wavenumber_layout(self, grid40):
         k = grid40.wavenumbers
         assert k[0] == 0.0
