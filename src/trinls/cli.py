@@ -20,7 +20,8 @@ every error names its section.key.  Accepted values (see README):
                 init = supplied), scheme, noise >= 0       (all optional)
     [evolution] t >= 0, dt != 0 (t / |dt| steps at most sys.maxsize),
                 snapshot_every >= 0
-    [stability] kind, delta >= 0, eps > 0, seeds >= 0, sample_every > 0
+    [stability] kind, delta >= 0, eps > 0, seeds (distinct) >= 0,
+                sample_every > 0
     [subadd]    splits        e.g.  splits = 2,0,0 ; 1,0.5,0
     [output]    dir                                        (optional)
 
@@ -90,7 +91,10 @@ def _splits(raw: str) -> tuple:
 
 
 def _ints(raw: str) -> tuple:
-    return tuple(int(x) for x in raw.split(","))
+    values = tuple(int(x) for x in raw.split(","))
+    if len(set(values)) < len(values):
+        raise ValueError(f"{raw!r} repeats a seed")
+    return values
 
 
 # Range rules: (text for the error message, test of one value; a tuple

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .model import CouplingModel, State, _coefficients, _mod_pow
+from .model import CouplingModel, State, _coefficients
 from .spectral import Grid
 
 
@@ -69,7 +69,7 @@ def _phase_coefficient(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return _coefficients(u, a, p)
     mod = np.abs(u)
-    return _coefficients(u, a, p, mod ** p) * _mod_pow(mod, p - 2.0)
+    return _coefficients(u, a, p, mod ** p) * mod ** (p - 2.0)
 
 
 def _phase_factor(phase: np.ndarray, bound: float, rot: np.ndarray) -> None:

@@ -33,7 +33,9 @@ does not depend on the path the iterates took.
 The independent cross-check `refine_fixed_point` rewrites the Euler-Lagrange
 system as u_j = E_{w_j} * N_j(u), where E_w is the Green kernel of
 (-d^2/dx^2 + w), i.e. division by (k^2 + w) in Fourier space, and iterates it
-with per-sweep multiplier re-extraction and mass renormalization.
+with per-sweep mass renormalization and multiplier re-extraction up to the
+residual target; one guard (every active multiplier positive) and one sweep
+budget end it with `DivergenceError` otherwise.
 
 Also here: the two-component reduced problem, the concentration (window-mass)
 diagnostic, and the subadditivity margin check.
@@ -64,11 +66,8 @@ class ConvergenceError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Fixed-point sweeps made the residual grow; carries the best iterate."""
-
-    def __init__(self, message: str, best: Optional["GroundState"] = None):
-        super().__init__(message)
-        self.best = best
+    """Fixed-point sweeps met a multiplier that is not positive, or ran out
+    of sweeps before reaching the residual target."""
 
 
 class StepCollapseError(RuntimeError):
@@ -351,66 +350,38 @@ def _package(u, w, res, iters, model, masses, grid, history,
 
 
 def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
-                       max_sweeps: int = 600,
-                       residual_tol: float = 1e-11) -> GroundState:
+                       max_sweeps: int = 600) -> GroundState:
     """Polish a near-solution by Green-kernel fixed-point sweeps.
 
-    Each sweep re-extracts the multipliers, applies u_j <- (k^2 + w_j)^{-1}
-    N_j(u) spectrally, and renormalizes the constrained masses, until the
-    residual is below `_residual_target(grid, residual_tol)`.  Raises
-    `DivergenceError` (carrying the best iterate seen) if the residual grows
-    over 5 consecutive sweeps or a multiplier leaves the positive range.
+    Each sweep applies u_j <- (k^2 + w_j)^{-1} N_j(u) spectrally,
+    renormalizes the constrained masses and re-extracts the multipliers,
+    until the residual is below `_residual_target(grid, 1e-11)`.  Raises
+    `DivergenceError` when a multiplier is not positive (a non-finite iterate
+    included) or after `max_sweeps` sweeps.
     """
     grid = state.grid
     targets = masses.as_array()
     active = targets > 0
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
-    target = _residual_target(grid, residual_tol)
+    target = _residual_target(grid, 1e-11)
     u = _project(state.stack(), targets, h)
-
-    best = None  # (u, w, residual, sweeps) of the lowest residual seen
-    best_res = np.inf
-    increases = 0
-    w = _multiplier_array(u, grid, model)
-    res = _el_residual_array(u, w, grid, model)
-
-    def packaged():
-        return None if best is None else _package(
-            *best, model, masses, grid, [], validate=False)
-
+    w, res = _multiplier_array(u, grid, model), np.inf
     for sweeps in range(1, max_sweeps + 1):
-        if np.any(w[active] <= 0):
-            raise DivergenceError(
-                f"non-positive multiplier {w} during refinement", best=packaged())
+        if not np.all(w[active] > 0):
+            raise DivergenceError(f"multiplier {w} not positive during refinement")
         N = _nonlinearity(u, model.a, model.p)
         for j in range(3):
             if active[j]:
                 u[j] = ifft(fft(N[j]) / (k2 + w[j]))
         u = _project(u, targets, h)
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError("non-finite iterate during refinement",
-                                  best=packaged())
-
         w = _multiplier_array(u, grid, model)
-        new_res = _el_residual_array(u, w, grid, model)
-        if new_res < best_res:
-            best_res = new_res
-            best = (u.copy(), w, new_res, sweeps)
-        increases = increases + 1 if new_res > res else 0
-        res = new_res
-        if increases >= 5:
-            raise DivergenceError(
-                f"residual grew over 5 consecutive sweeps (now {res:.3e})",
-                best=packaged())
+        res = _el_residual_array(u, w, grid, model)
         if res < target:
-            break
-    else:
-        if best_res > 10 * target:
-            raise DivergenceError(
-                f"no fixed-point convergence in {max_sweeps} sweeps "
-                f"(best residual {best_res:.3e})", best=packaged())
-    return packaged()
+            return _package(u, w, res, sweeps, model, masses, grid, [],
+                            validate=False)
+    raise DivergenceError(f"no fixed-point convergence in {max_sweeps} sweeps "
+                          f"(residual {res:.3e}, target {target:.1e})")
 
 
 def two_component_min(alpha1: float, alpha2: float, beta: float,

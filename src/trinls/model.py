@@ -116,17 +116,6 @@ class State:
 # array-level kernels (shared by the solver and the time stepper)
 # ---------------------------------------------------------------------------
 
-def _mod_pow(mod: np.ndarray, q: float) -> np.ndarray:
-    """mod**q with 0**negative defined as 0 (continuity for q > -1)."""
-    if q == 0.0:
-        return np.ones_like(mod)
-    if q >= 1.0 or q == 0.5:
-        return mod ** q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(mod > 0.0, mod, 1.0) ** q
-    return np.where(mod > 0.0, out, 0.0)
-
-
 def _coefficients(u: np.ndarray, a: np.ndarray, p: float,
                   mod_p: np.ndarray = None) -> np.ndarray:
     """c_j = sum_k a_kj |u_k|^p as a (3, n) array (`mod_p`: |u|^p if at hand)."""
@@ -141,7 +130,7 @@ def _nonlinearity(u: np.ndarray, a: np.ndarray, p: float,
     if p == 2.0:
         return coef * u
     mod = np.abs(u) if mod is None else mod
-    return coef * _mod_pow(mod, p - 2.0) * u
+    return coef * mod ** (p - 2.0) * u
 
 
 def _gradient_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.ndarray:
@@ -199,7 +188,7 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
             continue
         any_mass = True
         r = G[j] + w[j] * u[j]
-        worst = max(worst, float(np.sqrt(h * np.sum(np.abs(r) ** 2) / m)))
+        worst = float(np.maximum(worst, np.sqrt(h * np.sum(np.abs(r) ** 2) / m)))
     if not any_mass:
         raise ValueError("all components have zero mass")
     return worst

@@ -208,10 +208,9 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
         trace = err.trace
         blew_up = True
 
-    snaps = trace.snapshots or ((0.0, initial),)
-    times = np.array([t for t, _ in snaps])
-    dists = np.array([orbital_distance(s, ground) for _, s in snaps])
-    sup = float(dists.max()) if dists.size else float("nan")
+    times = np.array([t for t, _ in trace.snapshots])
+    dists = np.array([orbital_distance(s, ground) for _, s in trace.snapshots])
+    sup = float(dists.max())
 
     verdict = "blow_up" if blew_up else ("bounded" if sup <= eps else "escaped")
     out_trace = replace(trace, snapshots=None, orbital_distance=dists)

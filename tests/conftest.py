@@ -30,17 +30,13 @@ def model_ones():
 @pytest.fixture(scope="session")
 def gs_single4(grid40, model_ones):
     """Reference minimizer at masses (4, 0, 0): lambda = -4/3, omega1 = 1."""
-    masses = t.MassTriple(4.0, 0.0, 0.0)
-    gs = t.minimize(model_ones, masses, grid40, t.SolverConfig())
-    return t.refine_fixed_point(gs.profile, model_ones, masses)
+    return t.minimize(model_ones, t.MassTriple(4.0, 0.0, 0.0), grid40)
 
 
 @pytest.fixture(scope="session")
 def gs_equal(grid40, model_ones):
     """Equal-coupling minimizer at masses (4/3, 4/3, 4/3): lambda = -4/3."""
-    masses = t.MassTriple(4 / 3, 4 / 3, 4 / 3)
-    gs = t.minimize(model_ones, masses, grid40, t.SolverConfig())
-    return t.refine_fixed_point(gs.profile, model_ones, masses)
+    return t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3), grid40)
 
 
 @pytest.fixture()

@@ -109,6 +109,8 @@ class TestConfigValidation:
         ("stability.delta", BASE + "\n[stability]\ndelta = -1e-3\n"),
         ("solver.seed", BASE.replace("seed = 0", "seed = -1")),
         ("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\nseeds = -1\n"),
+        pytest.param("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\n"
+                     "seeds = 0,0\n", id="stability.seeds-repeated"),
         ("solver.noise", BASE.replace("seed = 0", "seed = 0\nnoise = -1")),
         ("solver.max_iters", BASE.replace("seed = 0", "seed = 0\nmax_iters = 0")),
         ("solver.init_profile", BASE.replace("seed = 0",

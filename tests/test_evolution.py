@@ -303,12 +303,12 @@ class TestModulusPass:
     @pytest.mark.parametrize("p", [2.0, 2.5])
     def test_phase_coefficient_bitwise(self, grid40, p, rng):
         from trinls.evolution import _phase_coefficient
-        from trinls.model import _coefficients, _mod_pow
+        from trinls.model import _coefficients
         u = t.random_smooth_state(grid40, rng)
         u[1, ::5] = 0.0
         ref = _coefficients(u, ASYMMETRIC_A, p)
         if p != 2.0:
-            ref = ref * _mod_pow(np.abs(u), p - 2.0)
+            ref = ref * np.abs(u) ** (p - 2.0)
         assert _phase_coefficient(u, ASYMMETRIC_A, p).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", [2.0, 2.5])

@@ -110,11 +110,18 @@ class TestSolverContracts:
         assert err.value.last is not None
         assert err.value.last.iterations == 2
 
-    def test_step_collapse_detected(self, grid40, model_ones):
-        # explicit Euler far beyond the stability limit blows up finitely fast
+    def test_unstable_explicit_step_does_not_converge(self, grid40, model_ones):
+        # explicit Euler far beyond the stability limit: the projection keeps
+        # the iterate finite, so the budget runs out
         cfg = t.SolverConfig(scheme="explicit", tau=5e3, max_iters=500)
-        with pytest.raises((t.StepCollapseError, t.ConvergenceError)):
+        with pytest.raises(t.ConvergenceError):
             t.minimize(model_ones, t.MassTriple(4.0, 0.0, 0.0), grid40, cfg)
+
+    def test_step_collapse_detected(self, grid40, model_ones):
+        # a mass of 1e300 overflows the energy of the very first iterate
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(t.StepCollapseError, match="iteration 0"):
+                t.minimize(model_ones, t.MassTriple(1e300, 0.0, 0.0), grid40)
 
     def test_explicit_scheme_agrees(self, model_ones):
         # the literal normalized-gradient-flow scheme reaches the same
@@ -240,6 +247,16 @@ class TestRefineFixedPoint:
         polished = t.refine_fixed_point(rough.profile, model_ones, masses)
         assert polished.residual <= 1e-9
         assert abs(polished.multipliers.w1 - 1.0) <= 1e-8
+        with pytest.raises(t.DivergenceError, match="1 sweeps"):
+            t.refine_fixed_point(rough.profile, model_ones, masses, max_sweeps=1)
+
+    def test_non_finite_iterate_fails_multiplier_guard(self, gs_single4, model_ones):
+        # at mass 1e300, |u|^4 overflows: the first sweep leaves NaN, whose
+        # residual never meets the target and whose multipliers are not positive
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(t.DivergenceError, match="not positive"):
+                t.refine_fixed_point(gs_single4.profile, model_ones,
+                                     t.MassTriple(1e300, 0.0, 0.0))
 
     def test_far_input_diverges(self, grid40, model_ones, rng):
         u = t.random_smooth_state(grid40, rng, amplitude=0.05)
