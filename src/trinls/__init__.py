@@ -9,7 +9,7 @@ time integration.
 
 __version__ = "0.1.0"
 
-from .spectral import (Field, Grid, RealField, h1_inner, h1_norm, integrate,
+from .spectral import (Field, Grid, RealField, h1_inner, integrate,
                        make_grid, mass, rearrange, spectral_derivative,
                        translate)
 from .model import (CouplingModel, MassTriple, Multipliers, PhaseDiagnostics,
@@ -28,7 +28,7 @@ from .stability import (PERTURBATION_KINDS, StabilityReport, orbital_distance,
 from .tolerances import DEFAULT as TOLERANCES, Tolerances
 
 __all__ = [
-    "Field", "Grid", "RealField", "h1_inner", "h1_norm", "integrate",
+    "Field", "Grid", "RealField", "h1_inner", "integrate",
     "make_grid", "mass", "rearrange", "spectral_derivative", "translate",
     "CouplingModel", "MassTriple", "Multipliers", "PhaseDiagnostics", "State",
     "apply_symmetry", "el_residual", "energy", "energy_gradient", "gn_ratio",

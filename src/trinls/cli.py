@@ -33,7 +33,8 @@ across runs for a fixed config and seed; the wall-clock timestamp lives in a
 separate metadata.json.
 
 Exit codes: 0 ok, 1 config/input error (`ConfigError`), 2 non-convergence
-(`ConvergenceError`), 3 blow-up, 4 validation failure.
+(`ConvergenceError`, also a collapsed flow step or a diverging polish),
+3 blow-up, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ import numpy as np
 from . import __version__
 from .evolution import BlowUpError, evolve
 from .ground_state import (ConvergenceError, GroundState, SolverConfig,
-                           minimize, refine_fixed_point, subadditivity_check)
+                           _project, minimize, refine_fixed_point,
+                           subadditivity_check)
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     el_residual, energy, energy_gradient, random_smooth_state,
                     sech_profile)
 from .spectral import Field, Grid, make_grid
 from .stability import PERTURBATION_KINDS, stability_experiment
+from .tolerances import DEFAULT as TOLS
 
 
 class ConfigError(ValueError):
@@ -210,9 +213,11 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if profile is not None:
         try:
             knobs["initial_state"] = read_profile_csv(Path(profile), grid)
+            # the flow's projection rejects a zero component with positive mass
+            _project(knobs["initial_state"].stack(), masses.as_array(), grid.spacing)
         except (OSError, ValueError) as err:
             raise ConfigError(
-                f"cannot read solver.init_profile {profile!r}: {err}") from err
+                f"cannot use solver.init_profile {profile!r}: {err}") from err
     if seed_override is not None:
         knobs["seed"] = seed_override
         if sec["stability"] is not None:
@@ -276,13 +281,13 @@ def read_profile_csv(path: Path, grid: Grid) -> State:
     with open(path, newline="") as fh:
         rows = [line.strip() for line in fh if not line.startswith("#")]
     reader = csv.reader(rows)
-    header = next(reader)
+    header = next(reader, None)
     if header != PROFILE_HEADER:
         raise ConfigError(f"profile file {path}: unexpected header {header}")
     data = np.array([[float(v) for v in row] for row in reader])
-    if data.shape[0] != grid.n:
-        raise ConfigError(
-            f"profile file {path}: {data.shape[0]} rows but grid has {grid.n} nodes")
+    if data.shape != (grid.n, len(PROFILE_HEADER)):
+        raise ConfigError(f"profile file {path}: data shape {data.shape}, expected "
+                          f"{grid.n} rows (grid nodes) of {len(PROFILE_HEADER)} columns")
     if not np.allclose(data[:, 0], grid.nodes, atol=1e-9 * max(1.0, grid.spacing)):
         raise ConfigError(f"profile file {path}: node positions do not match grid")
     u = data[:, 1::2] + 1j * data[:, 2::2]
@@ -375,7 +380,7 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
             "delta": rep.delta, "eps": rep.eps, "kind": rep.kind,
             "seed": rep.seed, "sup_distance": rep.sup_distance,
             "verdict": rep.verdict, "orbit_drift_flag": rep.orbit_drift_flag,
-            "times": [float(t) for t in rep.times_sampled],
+            "times": [float(t) for t in rep.trace.times],
             "distances": [float(d) for d in rep.trace.orbital_distance],
         })
         summary["verdicts"][str(seed)] = rep.verdict
@@ -441,8 +446,7 @@ def _validate_checks():
     model1 = CouplingModel(np.ones((3, 3)), p=2.0)
     phi = sech_profile(1.0, 3.0, 2.0, wide)
     triple = State(phi, phi, phi)
-    res = el_residual(triple, Multipliers(1.0, 1.0, 1.0),
-                      CouplingModel(np.ones((3, 3)), p=2.0))
+    res = el_residual(triple, Multipliers(1.0, 1.0, 1.0), model1)
     yield ("equal-coupling triple residual", res <= 1e-9, f"residual {res:.2e}")
 
     # lambda(r,0,0) = -r^3/48, omega = (r/4)^2; the polish must keep lambda
@@ -452,8 +456,8 @@ def _validate_checks():
         gs = minimize(model1, masses, grid_r, SolverConfig())
         polished = refine_fixed_point(gs.profile, model1, masses)
         lam_exact = -r ** 3 / 48
-        ok = (abs(gs.lam - lam_exact) <= 1e-5 * abs(lam_exact)
-              and abs(gs.multipliers.w1 - (r / 4) ** 2) <= 1e-6
+        ok = (abs(gs.lam - lam_exact) <= TOLS.lambda_rel * abs(lam_exact)
+              and abs(gs.multipliers.w1 - (r / 4) ** 2) <= TOLS.omega_abs
               and abs(polished.lam - gs.lam) <= 1e-10 * abs(lam_exact))
         yield (f"lambda({r:g},0,0) closed form", ok,
                f"lambda {gs.lam:.8f} vs {lam_exact:.8f}, w1 {gs.multipliers.w1:.8f}, "
@@ -466,15 +470,14 @@ def _validate_checks():
         u = random_smooth_state(grid, rng)
         d = random_smooth_state(grid, rng)
         S = State.from_array(grid, u)
-        G = energy_gradient(S, model1)
-        pairing = 2 * (grid.spacing * np.sum(
-            np.stack([G.u1.values, G.u2.values, G.u3.values]) * np.conj(d))).real
+        G = energy_gradient(S, model1).stack()
+        pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
         epsln = 1e-5
         plus = State.from_array(grid, u + epsln * d)
         minus = State.from_array(grid, u - epsln * d)
         fd = (energy(plus, model1) - energy(minus, model1)) / (2 * epsln)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
-    yield ("gradient vs finite differences", worst <= 1e-6,
+    yield ("gradient vs finite differences", worst <= TOLS.gradient_fd_rel,
            f"worst relative error {worst:.2e}")
 
 
@@ -519,14 +522,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
-        out = Path(args.out) if args.out else None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-        return cmd_validate(out, args.quiet)
-
     # the exit-code map: the cmd_* functions raise, main reports
     try:
+        if args.command == "validate":
+            out = Path(args.out) if args.out else None
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+            return cmd_validate(out, args.quiet)
         cfg = load_config(args.config, seed_override=args.seed)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -58,19 +58,21 @@ from .tolerances import DEFAULT as TOLS
 
 
 class ConvergenceError(RuntimeError):
-    """Flow did not meet the stopping criteria; carries the last iterate."""
+    """A solve did not converge.  Raised as is when the flow misses its
+    stopping criteria, carrying the last iterate; the subclasses mark a
+    collapsed flow step and a diverging polish."""
 
     def __init__(self, message: str, last: Optional["GroundState"] = None):
         super().__init__(message)
         self.last = last
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ConvergenceError):
     """Fixed-point sweeps met a multiplier that is not positive, or ran out
     of sweeps before reaching the residual target."""
 
 
-class StepCollapseError(RuntimeError):
+class StepCollapseError(ConvergenceError):
     """The iterate left the finite range (step size collapse / blow-up)."""
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .spectral import Field, Grid, integrate, require_same_grid
+from .spectral import (Field, Grid, integrate, mass, require_same_grid,
+                       spectral_derivative, translate)
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,12 @@ def _multiplier_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.nda
 def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
                        model: CouplingModel) -> float:
     h = grid.spacing
-    G = _gradient_array(u, grid, model)
-    worst = 0.0
-    any_mass = False
-    for j in range(3):
-        m = h * np.sum(np.abs(u[j]) ** 2)
-        if m <= 0:
-            continue
-        any_mass = True
-        r = G[j] + w[j] * u[j]
-        worst = float(np.maximum(worst, np.sqrt(h * np.sum(np.abs(r) ** 2) / m)))
-    if not any_mass:
+    m = h * np.sum(np.abs(u) ** 2, axis=1)
+    live = ~(m <= 0)  # not `m > 0`: a NaN mass must yield a NaN residual
+    if not np.any(live):
         raise ValueError("all components have zero mass")
-    return worst
+    r = _gradient_array(u, grid, model)[live] + w[live, None] * u[live]
+    return float(np.max(np.sqrt(h * np.sum(np.abs(r) ** 2, axis=1) / m[live])))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +260,6 @@ def apply_symmetry(state: State, shift: float = 0.0, boost: float = 0.0,
     interpolation.  `time` enters only through the documented phase convention
     of the travelling-wave ansatz.
     """
-    from .spectral import translate
-
     grid = state.grid
     x = grid.nodes
     gal = np.exp(1j * (boost * x - boost ** 2 * time))
@@ -280,12 +272,8 @@ def apply_symmetry(state: State, shift: float = 0.0, boost: float = 0.0,
 
 def gn_ratio(f: Field, p: float) -> float:
     """Interpolation ratio |f|_{2p}^{2p} / (||f'||^{p-1} ||f||^{p+1})."""
-    from .spectral import spectral_derivative
-
-    grid = f.grid
-    num = integrate(np.abs(f.values) ** (2 * p), grid)
-    l2 = np.sqrt(integrate(np.abs(f.values) ** 2, grid))
-    dl2 = np.sqrt(integrate(np.abs(spectral_derivative(f).values) ** 2, grid))
+    num = integrate(np.abs(f.values) ** (2 * p), f.grid)
+    l2, dl2 = np.sqrt(mass(f)), np.sqrt(mass(spectral_derivative(f)))
     if l2 == 0 or dl2 == 0:
         raise ValueError("ratio undefined for constant or zero fields")
     return float(num / (dl2 ** (p - 1) * l2 ** (p + 1)))

@@ -15,7 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -32,22 +32,9 @@ class Grid:
 
     n: int
     length: float
-    spacing: float
-    nodes: np.ndarray
-    wavenumbers: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.length == other.length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.length))
-
-    def __repr__(self) -> str:
-        return f"Grid(n={self.n}, length={self.length})"
+    spacing: float = field(compare=False, repr=False)
+    nodes: np.ndarray = field(compare=False, repr=False)
+    wavenumbers: np.ndarray = field(compare=False, repr=False)
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -68,6 +55,16 @@ def make_grid(n: int, length: float) -> Grid:
                 nodes=_readonly(x), wavenumbers=_readonly(k))
 
 
+def _samples(grid: Grid, values, dtype) -> np.ndarray:
+    """`values` as a read-only contiguous array of grid.n finite samples."""
+    v = np.ascontiguousarray(values, dtype=dtype)
+    if v.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} samples, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("field contains non-finite samples")
+    return _readonly(v)
+
+
 @dataclass(frozen=True)
 class Field:
     """Complex-valued samples of one wave component on a Grid."""
@@ -76,12 +73,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite samples")
-        object.__setattr__(self, "values", _readonly(np.ascontiguousarray(v)))
+        object.__setattr__(self, "values", _samples(self.grid, self.values, complex))
 
 
 @dataclass(frozen=True)
@@ -92,14 +84,10 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite samples")
+        v = _samples(self.grid, self.values, float)
         if np.any(v < 0):
             raise ValueError("RealField requires non-negative samples")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", v)
 
 
 def require_same_grid(*grids: Grid) -> Grid:
@@ -135,10 +123,6 @@ def h1_inner(f: Field, g: Field) -> complex:
     gh = fft(g.values)
     s = np.sum((1.0 + k ** 2) * fh * np.conj(gh))
     return complex(grid.spacing / grid.n * s)
-
-
-def h1_norm(f: Field) -> float:
-    return float(np.sqrt(max(h1_inner(f, f).real, 0.0)))
 
 
 def translate(f: Field, shift: float) -> Field:

@@ -29,9 +29,10 @@ import numpy as np
 from scipy.fft import fft, ifft
 
 from .evolution import BlowUpError, EvolutionTrace, evolve
-from .ground_state import GroundState
+from .ground_state import GroundState, _project
 from .model import CouplingModel, State
 from .spectral import require_same_grid
+from .tolerances import DEFAULT as TOLS
 
 PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
 
@@ -52,7 +53,6 @@ class StabilityReport:
     kind: str
     seed: int
     sup_distance: float
-    times_sampled: np.ndarray
     verdict: str
     trace: EvolutionTrace
     orbit_drift_flag: bool = False
@@ -146,7 +146,7 @@ def perturb(state: State, kind: str, amplitude: float, seed: int = 0) -> State:
         return state
     grid = state.grid
     u = state.stack()
-    masses0 = grid.spacing * np.sum(np.abs(u) ** 2, axis=1)
+    masses0 = state.masses()
 
     if kind == "component_tilt":
         eta = np.zeros_like(u)
@@ -162,12 +162,7 @@ def perturb(state: State, kind: str, amplitude: float, seed: int = 0) -> State:
 
     out = u + amplitude * eta
     if kind == "mass_preserving_random":
-        for j in range(3):
-            if masses0[j] > 0:
-                m = grid.spacing * np.sum(np.abs(out[j]) ** 2)
-                out[j] *= np.sqrt(masses0[j] / m)
-            else:
-                out[j] = 0.0
+        out = _project(out, masses0, grid.spacing)
     return State.from_array(grid, out)
 
 
@@ -197,7 +192,6 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
     if eps is None:
-        from .tolerances import DEFAULT as TOLS
         eps = 20.0 * delta if delta > 0 else TOLS.stability_control
     initial = perturb(ground.profile, kind, delta, seed)
     blew_up = False
@@ -208,7 +202,6 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
         trace = err.trace
         blew_up = True
 
-    times = np.array([t for t, _ in trace.snapshots])
     dists = np.array([orbital_distance(s, ground) for _, s in trace.snapshots])
     sup = float(dists.max())
 
@@ -216,5 +209,5 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     out_trace = replace(trace, snapshots=None, orbital_distance=dists)
     return StabilityReport(
         delta=delta, eps=float(eps), kind=kind, seed=seed,
-        sup_distance=sup, times_sampled=times, verdict=verdict,
+        sup_distance=sup, verdict=verdict,
         trace=out_trace, orbit_drift_flag=_drift_reversal(dists))

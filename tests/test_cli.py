@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import trinls as t
-from trinls.cli import (_SCHEMA, ConfigError, RunConfig, load_config, main,
-                        read_profile_csv)
+from trinls.cli import (_SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
+                        load_config, main, read_profile_csv, write_profile_csv)
 
 BASE = """\
 [grid]
@@ -117,6 +117,8 @@ class TestConfigValidation:
                                              "seed = 0\ninit_profile = x.csv")),
         ("solver.init_profile", BASE.replace("seed = 0", "seed = 0\ninit = supplied")),
         ("evolution.t", BASE + "\n[evolution]\nt = 1e300\ndt = 1e-3\n"),
+        pytest.param("evolution.dt", BASE + "\n[evolution]\nt = 1.0\n",
+                     id="evolution.dt-missing"),
     ], ids=lambda v: v if "[" not in v else "cfg")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, text):
         cfg = write_config(tmp_path, text)
@@ -146,6 +148,11 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                      "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_seed_flag_replaces_seed_list(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, STAB_CFG), seed_override=5)
+        assert cfg.stability["seeds"] == (5,)
+        assert cfg.solver.seed == 5
 
     def test_unparsable_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("seed = 0", "seed = 0\nseed = 1"))
@@ -255,6 +262,13 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_step_collapse_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 1e300"))
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 2
+        assert "iteration 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, extra", [
         ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n"
          "\n[stability]\ndelta = 1e-3\n"),
@@ -299,6 +313,20 @@ class TestSolve:
                      str(tmp_path / "o"), "--quiet"]) == 1
         assert "init_profile" in capsys.readouterr().err
 
+    def test_supplied_init_zero_component(self, tmp_path, capsys):
+        # component 2 is identically zero but its mass s is positive
+        grid = t.make_grid(512, 40.0)
+        u = np.zeros((3, 512), dtype=complex)
+        u[0] = np.exp(-grid.nodes ** 2)
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        text = BASE.replace("s = 0.0", "s = 1.0").replace(
+            "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {tmp_path / 'p.csv'}")
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "solver.init_profile" in err and "identically zero" in err
+
 
 EVOLVE_EXTRA = """
 [evolution]
@@ -306,6 +334,15 @@ t = 0.1
 dt = 1e-3
 snapshot_every = 50
 """
+
+
+def profile_text(n=512, shift=0.0, cols=7, header=PROFILE_HEADER):
+    """A zero profile in the profile.csv layout, with its nodes shifted by
+    `shift` and `cols` columns per row."""
+    rows = np.zeros((n, cols))
+    rows[:, 0] = t.make_grid(n, 40.0).nodes + shift
+    return (",".join(header) + "\n"
+            + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
 
 
 class TestEvolve:
@@ -353,6 +390,28 @@ class TestEvolve:
                      "--out", str(tmp_path / "o"), "--quiet"]) == 1
         assert "rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["evolve", "init_profile"])
+    @pytest.mark.parametrize("content, words", [
+        ("", "header"),
+        ("# comments only\n# no header\n", "header"),
+        (profile_text(header=PROFILE_HEADER[:-1] + ["im_u4"]), "header"),
+        (profile_text(n=256), "rows"),
+        (profile_text(shift=0.5), "node positions"),
+        (profile_text(cols=9), "columns"),
+    ], ids=["empty", "comments-only", "header", "rows", "nodes", "columns"])
+    def test_bad_profile_exit_code(self, tmp_path, capsys, route, content, words):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        if route == "evolve":
+            cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA, name="e.ini")
+            argv = ["evolve", "--config", cfg, "--profile", str(path)]
+        else:
+            cfg = write_config(tmp_path, BASE.replace(
+                "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {path}"))
+            argv = ["solve", "--config", cfg]
+        assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert words in capsys.readouterr().err
+
     def test_missing_profile_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA, name="e.ini")
         assert main(["evolve", "--config", cfg, "--profile",
@@ -364,7 +423,6 @@ class TestEvolve:
         grid = t.make_grid(512, 40.0)
         huge = np.full((3, 512), 1e200, dtype=complex)
         huge *= np.exp(-grid.nodes ** 2)[None, :]
-        from trinls.cli import write_profile_csv
         write_profile_csv(tmp_path / "huge.csv", t.State.from_array(grid, huge))
         cfg = write_config(tmp_path, BASE.replace("p = 2.0", "p = 2.5")
                            + EVOLVE_EXTRA, name="blow.ini")
@@ -425,6 +483,14 @@ class TestSubadd:
                      str(tmp_path / "o"), "--quiet"]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_split_taking_all_mass_rejected(self, tmp_path, capsys):
+        # the remainder 0,0,0 carries no mass: not a valid second part
+        cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 4,0,0\n",
+                           name="sub3.ini")
+        assert main(["subadd", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 1
+        assert "invalid split" in capsys.readouterr().err
+
 
 STAB_CFG = """\
 [grid]
@@ -473,6 +539,26 @@ class TestStability:
         assert summary["all_bounded"] is True
         assert set(summary["verdicts"]) == {"0", "1"}
 
+    def test_blow_up_verdict_exit_code(self, tmp_path, monkeypatch):
+        import trinls.cli as cli
+
+        def blown(gs, model, kind, delta, T, dt, sample_every, eps, seed):
+            trace = t.EvolutionTrace(times=np.zeros(1), energy_drift=np.zeros(1),
+                                     mass_drifts=np.zeros((1, 3)),
+                                     orbital_distance=np.zeros(1))
+            return t.StabilityReport(delta=delta, eps=1.0, kind=kind, seed=seed,
+                                     sup_distance=0.0, verdict="blow_up",
+                                     trace=trace)
+
+        monkeypatch.setattr(cli, "stability_experiment", blown)
+        cfg = write_config(tmp_path, STAB_CFG, name="stab.ini")
+        out = tmp_path / "st"
+        assert main(["stability", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdicts"] == {"0": "blow_up", "1": "blow_up"}
+        assert summary["all_bounded"] is False
+
 
 class TestValidate:
     def test_validate_passes(self, tmp_path, capsys):
@@ -492,6 +578,17 @@ class TestValidate:
         assert main(["validate", "--quiet"]) == 4
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["FAIL  forced: bad"]
+
+    def test_validate_diverging_polish_exit_code(self, monkeypatch, capsys):
+        import trinls.cli as cli
+
+        def diverging():
+            raise t.DivergenceError("no fixed-point convergence in 600 sweeps")
+            yield
+
+        monkeypatch.setattr(cli, "_validate_checks", diverging)
+        assert main(["validate"]) == 2
+        assert "solve failed" in capsys.readouterr().err
 
     def test_validate_failure_exit_code(self, monkeypatch, capsys):
         import trinls.cli as cli
@@ -516,7 +613,6 @@ class TestWriters:
         return buf.getvalue()
 
     def test_profile_bytes(self, tmp_path):
-        from trinls.cli import write_profile_csv
         grid = t.make_grid(16, 4.0)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))

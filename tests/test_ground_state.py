@@ -114,8 +114,10 @@ class TestSolverContracts:
         # explicit Euler far beyond the stability limit: the projection keeps
         # the iterate finite, so the budget runs out
         cfg = t.SolverConfig(scheme="explicit", tau=5e3, max_iters=500)
-        with pytest.raises(t.ConvergenceError):
+        with pytest.raises(t.ConvergenceError) as err:
             t.minimize(model_ones, t.MassTriple(4.0, 0.0, 0.0), grid40, cfg)
+        # not its StepCollapseError subclass: the iterate stayed finite
+        assert type(err.value) is t.ConvergenceError
 
     def test_step_collapse_detected(self, grid40, model_ones):
         # a mass of 1e300 overflows the energy of the very first iterate

@@ -241,6 +241,19 @@ class TestExperiment:
                                          T=0.5, dt=1e-3, sample_every=100)
         assert rep.verdict == "blow_up"
 
+    @pytest.mark.parametrize("d, flag", [
+        ([1, 2, 10, 8, 3, 2, 2, 2, 2, 2], True),
+        (list(range(1, 11)), False),
+        ([1, 1, 1, 1, 1, 1, 1, 1, 10, 1], False),
+        ([1, 10, 1, 1], False),
+        ([0] * 10, False),
+    ], ids=["rise-then-fall", "monotone", "late-peak", "short", "zero"])
+    def test_drift_reversal(self, d, flag):
+        # the orbit_drift_flag of every report: a distance that rose 5x over
+        # its start and then fell below half its peak, peak not in the last 20%
+        from trinls.stability import _drift_reversal
+        assert _drift_reversal(1e-3 * np.array(d, dtype=float)) is flag
+
 
 def test_stability_run_does_not_import_scipy_optimize():
     # the shift refinement is closed-form Newton; scipy.optimize costs a
