@@ -57,9 +57,9 @@ from .evolution import BlowUpError, evolve
 from .ground_state import (ConvergenceError, GroundState, SolverConfig,
                            _project, minimize, refine_fixed_point,
                            subadditivity_check)
-from .model import (CouplingModel, MassTriple, Multipliers, State,
-                    el_residual, energy, energy_gradient, random_smooth_state,
-                    sech_profile)
+from .model import (SINGLE_COMPONENT_BOXES, CouplingModel, MassTriple,
+                    Multipliers, State, el_residual, gradient_fd_error,
+                    sech_profile, single_component_minimum)
 from .spectral import Field, Grid, make_grid
 from .stability import PERTURBATION_KINDS, stability_experiment
 from .tolerances import DEFAULT as TOLS
@@ -402,7 +402,9 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     parts = []
     for split in cfg.subadd_splits:
         rest = (total.r - split[0], total.s - split[1], total.t - split[2])
-        if min(rest) < -1e-12:
+        # the slack absorbs round-off, not mass on a component the total lacks
+        if min(rest) < -1e-12 or any(
+                s > 0 and m == 0 for s, m in zip(split, total.as_array())):
             raise ConfigError(f"split {split} exceeds total masses")
         try:
             parts.append((MassTriple(*split),
@@ -432,7 +434,7 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def _validate_checks():
     """Built-in oracle suite; yields (name, passed, detail)."""
-    # closed-form residuals on a wide box (truncation floor ~1e-12)
+    tol = TOLS.closed_form_residual  # the wide box's truncation floor is ~1e-12
     wide = make_grid(2048, 64.0)
     for p in (2.0, 2.5):
         psi = sech_profile(1.0, 1.0, p, wide)
@@ -440,43 +442,30 @@ def _validate_checks():
         state = State(psi, zero, zero)
         model = CouplingModel(np.ones((3, 3)), p=p)
         res = el_residual(state, Multipliers(1.0, np.nan, np.nan), model)
-        yield (f"sech residual p={p}", res <= 1e-9, f"residual {res:.2e}")
+        yield (f"sech residual p={p}", res <= tol, f"residual {res:.2e}")
 
-    grid = make_grid(1024, 40.0)
     model1 = CouplingModel(np.ones((3, 3)), p=2.0)
     phi = sech_profile(1.0, 3.0, 2.0, wide)
     triple = State(phi, phi, phi)
     res = el_residual(triple, Multipliers(1.0, 1.0, 1.0), model1)
-    yield ("equal-coupling triple residual", res <= 1e-9, f"residual {res:.2e}")
+    yield ("equal-coupling triple residual", res <= tol, f"residual {res:.2e}")
 
-    # lambda(r,0,0) = -r^3/48, omega = (r/4)^2; the polish must keep lambda
-    for r, (n, L) in ((1.0, (2048, 160.0)), (2.0, (1024, 80.0)), (4.0, (1024, 40.0))):
+    # lambda(r,0,0) and w1 in closed form; the polish must keep lambda
+    for r, (n, L) in SINGLE_COMPONENT_BOXES.items():
         grid_r = make_grid(n, L)
         masses = MassTriple(r, 0.0, 0.0)
         gs = minimize(model1, masses, grid_r, SolverConfig())
         polished = refine_fixed_point(gs.profile, model1, masses)
-        lam_exact = -r ** 3 / 48
+        lam_exact, omega = single_component_minimum(r)
         ok = (abs(gs.lam - lam_exact) <= TOLS.lambda_rel * abs(lam_exact)
-              and abs(gs.multipliers.w1 - (r / 4) ** 2) <= TOLS.omega_abs
+              and abs(gs.multipliers.w1 - omega) <= TOLS.omega_abs
               and abs(polished.lam - gs.lam) <= 1e-10 * abs(lam_exact))
         yield (f"lambda({r:g},0,0) closed form", ok,
                f"lambda {gs.lam:.8f} vs {lam_exact:.8f}, w1 {gs.multipliers.w1:.8f}, "
                f"polish moved lambda by {abs(polished.lam - gs.lam):.1e}")
 
-    # gradient vs centered finite differences
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(20):
-        u = random_smooth_state(grid, rng)
-        d = random_smooth_state(grid, rng)
-        S = State.from_array(grid, u)
-        G = energy_gradient(S, model1).stack()
-        pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
-        epsln = 1e-5
-        plus = State.from_array(grid, u + epsln * d)
-        minus = State.from_array(grid, u - epsln * d)
-        fd = (energy(plus, model1) - energy(minus, model1)) / (2 * epsln)
-        worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
+    worst = gradient_fd_error(make_grid(1024, 40.0), model1,
+                              np.random.default_rng(42))
     yield ("gradient vs finite differences", worst <= TOLS.gradient_fd_rel,
            f"worst relative error {worst:.2e}")
 

@@ -13,9 +13,9 @@ Gradient convention: the first variation of H along a perturbation d is
     G_j = -u_j'' - (sum_k a_kj |u_k|^p) |u_j|^{p-2} u_j ,
 
 so a constrained minimizer satisfies G_j + w_j u_j = 0, where the w_j are the
-Lagrange multipliers of the three mass constraints.  Closed-form solitary
-profiles (sech family, two-component and equal-coupling families) are
-provided as oracles.
+Lagrange multipliers of the three mass constraints.  The closed forms (sech,
+two-component and equal-coupling profiles, single-component minimum values)
+and a finite-difference check of G are provided as oracles.
 """
 
 from __future__ import annotations
@@ -203,17 +203,14 @@ def energy_gradient(state: State, model: CouplingModel) -> State:
     return State.from_array(state.grid, G)
 
 
-def lagrange_multipliers(state: State, model: CouplingModel,
-                         skip_zero_mass: bool = False) -> Multipliers:
+def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
     """Extract (w1, w2, w3) from the multiplier identity.
 
-    By default every component must carry positive mass (zero mass leaves
-    the multiplier undefined and raises).  With skip_zero_mass=True the
-    undefined entries are reported as NaN instead, matching the solver's
-    handling of frozen components.
+    Every component must carry positive mass: zero mass leaves the
+    multiplier undefined and raises.
     """
     w = _multiplier_array(state.stack(), state.grid, model)
-    if not skip_zero_mass and np.any(np.isnan(w)):
+    if np.any(np.isnan(w)):
         raise ValueError("undefined multiplier: a component has zero mass")
     return Multipliers(*map(float, w))
 
@@ -236,6 +233,18 @@ def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:
     amp = (sigma * p / a) ** (1.0 / (2 * p - 2))
     arg = np.sqrt(sigma) * (2 * p - 2) * x / 2
     return Field(grid, amp * (1.0 / np.cosh(arg)) ** (2.0 / (2 * p - 2)))
+
+
+def single_component_minimum(m: float) -> tuple:
+    """(lambda, omega) = (-m^3/48, (m/4)^2) of one component of mass m at
+    p = 2, a = 1 (profile sech_profile(omega, 1, 2, grid)).  With every
+    coupling 1, masses (m1, m2, m3) reduce to one component of mass
+    m1 + m2 + m3: the equal triple has (-4/3, 1), the 2 + 2 split margin -1."""
+    return -m ** 3 / 48, (m / 4) ** 2
+
+
+# mass r -> grid (n, L) resolving the sech of mass r (width 4/r)
+SINGLE_COMPONENT_BOXES = {1.0: (2048, 160.0), 2.0: (1024, 80.0), 4.0: (1024, 40.0)}
 
 
 def two_component_profile(omega: float, beta: float, grid: Grid):
@@ -306,13 +315,27 @@ def random_smooth_state(grid: Grid, rng, amplitude: float = 0.5) -> np.ndarray:
     return u
 
 
+def gradient_fd_error(grid: Grid, model: CouplingModel, rng) -> float:
+    """Worst relative gap between 2 Re<G, d> and (H(u + eps d) - H(u - eps d))
+    / (2 eps), eps = 1e-5, over 20 `random_smooth_state` pairs (u, d)."""
+    eps, worst = 1e-5, 0.0
+    for _ in range(20):
+        u, d = random_smooth_state(grid, rng), random_smooth_state(grid, rng)
+        G = _gradient_array(u, grid, model)
+        pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
+        fd = (_energy_array(u + eps * d, grid, model)
+              - _energy_array(u - eps * d, grid, model)) / (2 * eps)
+        worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
+    return worst
+
+
 @dataclass(frozen=True)
 class PhaseDiagnostics:
     """Constancy-of-phase report for one component.
 
     theta is the mass-weighted mean phase; max_deviation the largest phase
     angle relative to theta over the support region (samples above
-    support_rel * max|f|); min_aligned_real the smallest value of
+    1e-10 * max|f|); min_aligned_real the smallest value of
     Re(e^{-i theta} f) there (positive for a positive representative).
     """
 
@@ -321,13 +344,13 @@ class PhaseDiagnostics:
     min_aligned_real: float
 
 
-def phase_diagnostics(f: Field, support_rel: float = 1e-10) -> PhaseDiagnostics:
+def phase_diagnostics(f: Field) -> PhaseDiagnostics:
     v = f.values
     mod = np.abs(v)
     peak = mod.max()
     if peak == 0.0:
         raise ValueError("zero field has no phase")
-    support = mod > support_rel * peak
+    support = mod > 1e-10 * peak
     theta = float(np.angle(np.sum(mod[support] * v[support])))
     aligned = v[support] * np.exp(-1j * theta)
     max_dev = float(np.max(np.abs(np.angle(aligned))))

@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Oracles:
-    single component (p=2, a11=1):  lambda(r,0,0) = -r^3/48, omega = (r/4)^2,
-        profile sqrt(2 sigma) sech(sqrt(sigma) x)
-    equal coupling (all a=1, p=2), masses (4/3)^3: lambda = -4/3, omega = 1
-    subadditivity single split 2+2: -4^3/48 + 2 * 2^3/48 = -1
+Oracles, all from `trinls.model`: `single_component_minimum` (lambda and
+omega of one component at p=2, a=1; by its reduction rule also the equal
+triple's (-4/3, 1) and the 2+2 split margin -1), `SINGLE_COMPONENT_BOXES`,
+`sech_profile` and `gradient_fd_error`.
 
 Criterion 8 is the long run (~3-4 minutes); everything else is seconds.
 Where a criterion leaves a knob open, the choice is stated in the test:
@@ -22,7 +21,8 @@ import pytest
 
 import trinls as t
 from trinls.cli import main, read_profile_csv
-from trinls.model import _energy_terms
+from trinls.model import (SINGLE_COMPONENT_BOXES, _energy_terms,
+                          gradient_fd_error, single_component_minimum)
 from trinls.tolerances import DEFAULT as TOLS
 
 
@@ -54,17 +54,15 @@ t = 0.0
 
 def test_criterion_1_single_component_oracle(tmp_path):
     """cmd_solve reproduces the sech family for r in {1, 2, 4}."""
-    cases = {1.0: (2048, 160.0), 2.0: (1024, 80.0), 4.0: (1024, 40.0)}
     worst = {"lam": 0.0, "omega": 0.0, "prof": 0.0}
-    for r, (n, length) in cases.items():
+    for r, (n, length) in SINGLE_COMPONENT_BOXES.items():
         cfg = tmp_path / f"r{r:g}.ini"
         cfg.write_text(CONFIG.format(n=n, length=length, r=r))
         out = tmp_path / f"out{r:g}"
         code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
         assert code == 0
         gs = json.loads((out / "groundstate.json").read_text())
-        sigma = (r / 4) ** 2
-        lam_exact = -r ** 3 / 48
+        lam_exact, sigma = single_component_minimum(r)
         worst["lam"] = max(worst["lam"], abs(gs["lambda"] - lam_exact) / abs(lam_exact))
         worst["omega"] = max(worst["omega"], abs(gs["omega"][0] - sigma))
         grid = t.make_grid(n, length)
@@ -73,7 +71,7 @@ def test_criterion_1_single_component_oracle(tmp_path):
         centered = np.roll(u, grid.n // 2 - int(np.argmax(np.abs(u))))
         aligned = centered * np.exp(-1j * t.phase_diagnostics(
             t.Field(grid, centered)).theta)
-        exact = np.sqrt(2 * sigma) / np.cosh(np.sqrt(sigma) * grid.nodes)
+        exact = t.sech_profile(sigma, 1.0, 2.0, grid).values
         worst["prof"] = max(worst["prof"], float(np.max(np.abs(aligned - exact))))
     ok = (worst["lam"] <= TOLS.lambda_rel and worst["omega"] <= TOLS.omega_abs
           and worst["prof"] <= TOLS.profile_max_err)
@@ -130,20 +128,10 @@ def test_criterion_3_structural_signs_random_sweep(grid40):
 
 def test_criterion_4_gradient_correctness(grid40):
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for k in range(20):
-        p = 2.0 if k < 10 else 2.5
-        model = t.CouplingModel(np.ones((3, 3)), p)
-        u = t.random_smooth_state(grid40, rng)
-        d = t.random_smooth_state(grid40, rng)
-        G = t.energy_gradient(t.State.from_array(grid40, u), model).stack()
-        pairing = 2 * (grid40.spacing * np.sum(G * np.conj(d))).real
-        eps = 1e-5
-        fd = (t.energy(t.State.from_array(grid40, u + eps * d), model)
-              - t.energy(t.State.from_array(grid40, u - eps * d), model)) / (2 * eps)
-        worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
+    worst = max(gradient_fd_error(grid40, t.CouplingModel(np.ones((3, 3)), p), rng)
+                for p in (2.0, 2.5))
     report(4, worst <= TOLS.gradient_fd_rel,
-           f"20 random pairs, worst relative error {worst:.2e}")
+           f"20 random pairs at each p, worst relative error {worst:.2e}")
 
 
 def test_criterion_5_conservation_and_order(gs_equal, grid40, model_ones):

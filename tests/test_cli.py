@@ -57,6 +57,12 @@ def write_config(tmp_path, text=BASE, name="run.ini"):
     return str(path)
 
 
+def scientific_files(out):
+    """Every output file but metadata.json, as relative path -> bytes."""
+    return {f.relative_to(out): f.read_bytes() for f in out.rglob("*")
+            if f.is_file() and f.name != "metadata.json"}
+
+
 class TestConfigValidation:
     def test_invalid_exponent_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("p = 2.0", "p = 3.5"))
@@ -234,15 +240,28 @@ class TestSolve:
         state = read_profile_csv(out / "profile.csv", grid)
         assert state.masses()[0] == pytest.approx(4.0, rel=1e-9)
 
-    def test_deterministic_outputs(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
-        for name in ("groundstate.json", "profile.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize("command", ["solve", "evolve", "stability", "subadd"])
+    def test_deterministic_outputs(self, tmp_path, capsys, command):
+        # a rerun writes the same bytes; only --quiet silences the summary
+        text, summary = {
+            "solve": (BASE, "lambda = "),
+            "evolve": (BASE + EVOLVE_EXTRA, "evolved to T = 0.1; "),
+            "stability": (STAB_CFG, "seed 1: verdict = bounded"),
+            "subadd": (BASE + "\n[subadd]\nsplits = 2,0,0\n",
+                       "split (2.0, 0.0, 0.0): margin = ")}[command]
+        args = [command, "--config", write_config(tmp_path, text)]
+        if command == "evolve":
+            assert main(["solve", *args[1:], "--out", str(tmp_path / "gs"),
+                         "--quiet"]) == 0
+            args += ["--profile", str(tmp_path / "gs" / "profile.csv")]
+        quiet, loud = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(quiet), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args + ["--out", str(loud)]) == 0
+        assert summary in capsys.readouterr().out
         # timestamps are segregated into metadata.json
-        assert (out1 / "metadata.json").exists()
+        assert (quiet / "metadata.json").exists()
+        assert scientific_files(quiet) == scientific_files(loud)
 
     def test_seed_override_changes_metadata_not_result(self, tmp_path):
         # different seeds still converge to the same minimizer
@@ -477,11 +496,13 @@ class TestSubadd:
         assert calls.count(t.MassTriple(4.0, 0.0, 0.0)) == 1
 
     def test_split_exceeding_total_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 5,0,0\n",
-                           name="sub2.ini")
-        assert main(["subadd", "--config", cfg, "--out",
-                     str(tmp_path / "o"), "--quiet"]) == 1
-        assert "exceeds" in capsys.readouterr().err
+        # 2,1e-13,0 lies within the round-off slack, but the total has no s
+        for splits in ("5,0,0", "2,1e-13,0"):
+            cfg = write_config(tmp_path, BASE + f"\n[subadd]\nsplits = {splits}\n",
+                               name="sub2.ini")
+            assert main(["subadd", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 1
+            assert "exceeds" in capsys.readouterr().err
 
     def test_split_taking_all_mass_rejected(self, tmp_path, capsys):
         # the remainder 0,0,0 carries no mass: not a valid second part

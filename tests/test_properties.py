@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.fft import fft
 
 import trinls as t
 from trinls.ground_state import _residual_target
+from trinls.stability import _y_norm
 from trinls.tolerances import DEFAULT as TOLS
 
 GRID = t.make_grid(256, 40.0)
@@ -85,12 +85,6 @@ def trajectories(draw):
     return t.CouplingModel(a, p), t.State.from_array(GRID, u)
 
 
-def y_norm(d, grid):
-    w = 1.0 + grid.wavenumbers ** 2
-    dh = fft(d, axis=-1)
-    return float(np.sqrt(grid.spacing / grid.n * np.sum(w * np.abs(dh) ** 2)))
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(trajectories(), st.integers(1, 10))
 def test_evolve_properties(case, steps):
@@ -103,4 +97,4 @@ def test_evolve_properties(case, steps):
     manual = state
     for _ in range(steps):
         manual = t.step(manual, dt, model)
-    assert y_norm(short.snapshots[-1][1].stack() - manual.stack(), GRID) <= 1e-13
+    assert _y_norm(short.snapshots[-1][1].stack() - manual.stack(), GRID) <= 1e-13

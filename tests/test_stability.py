@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trinls as t
 from trinls.tolerances import DEFAULT as TOLS
@@ -39,13 +40,22 @@ def brute_force_distance(state, ground, shifts, n_theta=64):
     return np.sqrt(max(best, 0.0))
 
 
+# a shift as a fraction of the box length, and three phases
+SHIFTS = st.floats(-0.5, 0.5, exclude_max=True)
+PHASES = st.tuples(*[st.floats(-np.pi, np.pi)] * 3)
+
+
 class TestOrbitalDistance:
     def test_zero_on_itself(self, gs_equal):
         assert t.orbital_distance(gs_equal.profile, gs_equal) <= TOLS.orbit_zero
 
-    def test_zero_on_symmetry_orbit(self, gs_equal):
-        moved = t.apply_symmetry(gs_equal.profile, shift=41 * gs_equal.grid.spacing,
-                                 phases=(0.3, -2.0, 1.1))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(SHIFTS, PHASES)
+    def test_zero_on_symmetry_orbit(self, gs_equal, frac, phases):
+        # any real shift in [-L/2, L/2): off the nodes the continuous
+        # refinement has to find it
+        moved = t.apply_symmetry(gs_equal.profile,
+                                 shift=frac * gs_equal.grid.length, phases=phases)
         assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
 
     @pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0),
@@ -55,14 +65,6 @@ class TestOrbitalDistance:
         moved = t.apply_symmetry(gs_equal.profile,
                                  shift=nodes * gs_equal.grid.spacing,
                                  phases=phases)
-        assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
-
-    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
-    def test_zero_on_subgrid_symmetry_copy(self, gs_equal, fraction):
-        # a shift between nodes is found by the continuous refinement
-        moved = t.apply_symmetry(gs_equal.profile,
-                                 shift=(41 + fraction) * gs_equal.grid.spacing,
-                                 phases=(0.3, -2.0, 1.1))
         assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
 
     def test_small_perturbation_scale(self, gs_equal, rng):
@@ -117,13 +119,15 @@ class TestOrbitalDistance:
                     lattice = ns + ng - 2 * (np.exp(1j * th) * ip).real
                     assert analytic <= lattice + 1e-12
 
-    def test_invariant_under_joint_transformation(self, gs_equal, rng):
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(SHIFTS, PHASES)
+    def test_invariant_under_joint_transformation(self, gs_equal, frac, phases):
+        rng = np.random.default_rng(20240811)
         S = t.State.from_array(
             gs_equal.grid,
             gs_equal.profile.stack() + 1e-2 * t.random_smooth_state(gs_equal.grid, rng))
         d0 = t.orbital_distance(S, gs_equal)
-        shift = 17 * gs_equal.grid.spacing
-        phases = (0.2, 0.9, -1.4)
+        shift = frac * gs_equal.grid.length
         S2 = t.apply_symmetry(S, shift=shift, phases=phases)
         G2 = dataclasses.replace(
             gs_equal, profile=t.apply_symmetry(gs_equal.profile, shift=shift,
