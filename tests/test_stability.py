@@ -67,6 +67,14 @@ class TestOrbitalDistance:
                                  phases=phases)
         assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+    def test_zero_on_subgrid_symmetry_copy(self, gs_equal, fraction):
+        # a shift between nodes is found by the continuous refinement
+        moved = t.apply_symmetry(gs_equal.profile,
+                                 shift=(41 + fraction) * gs_equal.grid.spacing,
+                                 phases=(0.3, -2.0, 1.1))
+        assert t.orbital_distance(moved, gs_equal) <= TOLS.orbit_symmetry
+
     def test_small_perturbation_scale(self, gs_equal, rng):
         eta = t.random_smooth_state(gs_equal.grid, rng)
         from scipy.fft import fft
