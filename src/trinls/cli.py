@@ -28,9 +28,10 @@ every error names its section.key.  Accepted values (see README):
 Every ground state is one `minimize` call.  Only `#` starts an inline
 comment: `;` separates subadd splits.
 
-All scalar results go to JSON, field data to CSV.  Outputs are byte-identical
-across runs for a fixed config and seed; the wall-clock timestamp lives in a
-separate metadata.json.
+Scalars go to JSON, field data to CSV: an optional `# ` line ending in LF,
+then header and rows ending in CRLF, each float its shortest round-trip repr
+(a profile read back may also use LF, quoted or space-padded cells, blank
+lines).  Every output but metadata.json is byte-identical per config and seed.
 
 Exit codes: 0 ok, 1 config/input error (`ConfigError`), 2 non-convergence
 (`ConvergenceError`, also a collapsed flow step or a diverging polish),
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -255,43 +255,47 @@ def write_metadata(out: Path, argv) -> None:
     })
 
 
-def _write_csv(path: Path, header, rows, comment=None) -> None:
-    """One header row and `rows` as CSV, after an optional `# comment` line."""
+PROFILE_HEADER = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
+_BLOCK = 512  # rows formatted per write: bounds the text held in memory
+
+
+def _write_csv(path: Path, header, columns, comment=None) -> None:
+    """`header` and the rows of `columns` (equal-length 1-D sequences) as CSV
+    after an optional `# comment` line; cells are `str` (a float's repr)."""
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-PROFILE_HEADER = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, len(columns[0]), _BLOCK):
+            cells = [map(str, np.asarray(c)[a:a + _BLOCK].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def write_profile_csv(path: Path, state: State) -> None:
     u = state.stack()
-    cols = [state.grid.nodes]
-    for j in range(3):
-        cols += [u[j].real, u[j].imag]
-    _write_csv(path, PROFILE_HEADER, np.column_stack(cols).tolist(),
+    parts = np.stack([u.real, u.imag], axis=1).reshape(6, -1)  # re_u1, im_u1, ...
+    _write_csv(path, PROFILE_HEADER, [state.grid.nodes, *parts],
                "dimensionless units; one row per grid node, ordered by x")
 
 
 def read_profile_csv(path: Path, grid: Grid) -> State:
-    with open(path, newline="") as fh:
-        rows = [line.strip() for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
-    if header != PROFILE_HEADER:
-        raise ConfigError(f"profile file {path}: unexpected header {header}")
-    data = np.array([[float(v) for v in row] for row in reader])
-    if data.shape != (grid.n, len(PROFILE_HEADER)):
-        raise ConfigError(f"profile file {path}: data shape {data.shape}, expected "
-                          f"{grid.n} rows (grid nodes) of {len(PROFILE_HEADER)} columns")
-    if not np.allclose(data[:, 0], grid.nodes, atol=1e-9 * max(1.0, grid.spacing)):
-        raise ConfigError(f"profile file {path}: node positions do not match grid")
-    u = data[:, 1::2] + 1j * data[:, 2::2]
-    return State.from_array(grid, u.T)
+    dialect = {"delimiter": ",", "quotechar": '"', "ndmin": 2}
+    try:
+        with open(path, newline="") as fh:
+            rows = [s for line in fh if (s := line.strip()) and not s.startswith("#")]
+        header = np.loadtxt(rows[:1], str, **dialect)[0].tolist() if rows else None
+        if header != PROFILE_HEADER:
+            raise ValueError(f"unexpected header {header}")
+        data = np.loadtxt(rows[1:], **dialect) if rows[1:] else np.empty((0, 0))
+        if data.shape != (grid.n, len(PROFILE_HEADER)):
+            raise ValueError(f"data shape {data.shape}, expected {grid.n} rows "
+                             f"(grid nodes) of {len(PROFILE_HEADER)} columns")
+        if not np.allclose(data[:, 0], grid.nodes, atol=1e-9 * max(1.0, grid.spacing)):
+            raise ValueError("node positions do not match grid")
+        # the (re, im) column pairs viewed as complex keep every bit, -0.0 too
+        return State.from_array(grid, data[:, 1:].view(complex).T)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"profile file {path}: {err}") from err
 
 
 def write_groundstate_json(path: Path, gs: GroundState, model: CouplingModel) -> None:
@@ -310,8 +314,7 @@ def write_groundstate_json(path: Path, gs: GroundState, model: CouplingModel) ->
 def write_trace_csv(path: Path, trace) -> None:
     _write_csv(path, ["t", "energy_drift", "mass_drift_1", "mass_drift_2",
                       "mass_drift_3"],
-               np.column_stack([trace.times, trace.energy_drift,
-                                trace.mass_drifts]).tolist(),
+               [trace.times, trace.energy_drift, *trace.mass_drifts.T],
                "dimensionless units; drifts are relative to t = 0")
 
 
@@ -337,10 +340,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
     if cfg.evolution is None:
         raise ConfigError("[evolution] section required for evolve")
-    try:
-        state0 = read_profile_csv(Path(profile_path), cfg.grid)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot load profile: {err}") from err
+    state0 = read_profile_csv(Path(profile_path), cfg.grid)
     ev = cfg.evolution
     try:
         trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
@@ -353,11 +353,11 @@ def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int
     write_trace_csv(out / "trace.csv", trace)
     if trace.snapshots:
         (out / "snapshots").mkdir(exist_ok=True)
-        index = [(repr(float(t)), f"snap_{i:06d}.csv")
-                 for i, (t, _) in enumerate(trace.snapshots)]
-        for (_, name), (_, snap) in zip(index, trace.snapshots):
+        names = [f"snap_{i:06d}.csv" for i in range(len(trace.snapshots))]
+        for name, (_, snap) in zip(names, trace.snapshots):
             write_profile_csv(out / "snapshots" / name, snap)
-        _write_csv(out / "snapshots.csv", ["t", "file"], index)
+        _write_csv(out / "snapshots.csv", ["t", "file"],
+                   [[t for t, _ in trace.snapshots], names])
     if not quiet and code == 0:
         print(f"evolved to T = {trace.times[-1]:g}; "
               f"max energy drift = {trace.energy_drift.max():.3e}")
@@ -416,10 +416,9 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     for split, (part1, part2) in zip(cfg.subadd_splits, parts):
         res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
                                   cfg.solver, lam_total=lam_total)
-        rows.append([repr(v) for v in (
-            res.part1.r, res.part1.s, res.part1.t, res.part2.r, res.part2.s,
-            res.part2.t, res.lam_total, res.lam_part1, res.lam_part2,
-            res.margin, res.tolerance)] + [str(res.inconclusive)])
+        rows.append((res.part1.r, res.part1.s, res.part1.t, res.part2.r,
+                     res.part2.s, res.part2.t, res.lam_total, res.lam_part1,
+                     res.lam_part2, res.margin, res.tolerance, res.inconclusive))
         if not quiet:
             print(f"split {split}: margin = {res.margin:.6f} "
                   f"(tolerance {res.tolerance:.1e}, "
@@ -427,7 +426,7 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     _write_csv(out / "margins.csv",
                ["r1", "s1", "t1", "r2", "s2", "t2", "lambda_total",
                 "lambda_part1", "lambda_part2", "margin", "tolerance",
-                "inconclusive"], rows,
+                "inconclusive"], list(zip(*rows)),
                "dimensionless units; margin = lambda(total) - lambda(p1) - lambda(p2)")
     return 0
 

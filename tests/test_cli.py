@@ -1,13 +1,17 @@
 """CLI contracts: config validation, file formats, exit codes, determinism."""
 
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trinls as t
-from trinls.cli import (_SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
+from trinls.cli import (_BLOCK, _SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
                         load_config, main, read_profile_csv, write_profile_csv)
 
 BASE = """\
@@ -417,7 +421,13 @@ class TestEvolve:
         (profile_text(n=256), "rows"),
         (profile_text(shift=0.5), "node positions"),
         (profile_text(cols=9), "columns"),
-    ], ids=["empty", "comments-only", "header", "rows", "nodes", "columns"])
+        (profile_text().replace(",0.0\n", ",abc\n", 1), "convert string 'abc'"),
+        (profile_text().replace(",0.0\n", "\n", 1), "number of columns changed"),
+        (profile_text().replace(",0.0\n", ",nan\n", 1), "non-finite"),
+        (profile_text().replace(",0.0\n", ",-inf\n", 1), "non-finite"),
+        (",".join(PROFILE_HEADER) + "\n", "rows"),
+    ], ids=["empty", "comments-only", "header", "rows", "nodes", "columns",
+            "non-numeric", "ragged", "nan", "inf", "no-rows"])
     def test_bad_profile_exit_code(self, tmp_path, capsys, route, content, words):
         path = tmp_path / "bad.csv"
         path.write_text(content)
@@ -428,8 +438,33 @@ class TestEvolve:
             cfg = write_config(tmp_path, BASE.replace(
                 "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {path}"))
             argv = ["solve", "--config", cfg]
-        assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 1
-        assert words in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's "input contained no data"
+            assert main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert words in err and f"profile file {path}" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text,
+        lambda text: text.replace("\r\n", "\n"),
+        lambda text: text.replace(",", ", ").replace(", ".join(PROFILE_HEADER),
+                                                     ",".join(PROFILE_HEADER)),
+        lambda text: "\r\n".join(
+            line if line.startswith(("#", "x,")) or not line
+            else ",".join(f'"{cell}"' for cell in line.split(","))
+            for line in text.split("\r\n")),
+        lambda text: "\n" + text.replace("\r\n", "\r\n\r\n") + "\n\n",
+    ], ids=["crlf", "lf", "spaces", "quoted", "blank-lines"])
+    def test_accepted_profile_forms(self, tmp_path, edit):
+        grid = t.make_grid(16, 4.0)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        u[0, 0] = complex(-0.0, 1.0)
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        path = tmp_path / "edited.csv"
+        path.write_text(edit((tmp_path / "p.csv").read_bytes().decode()), newline="")
+        back = read_profile_csv(path, grid).stack()
+        assert np.array_equal(back.view(np.uint64), u.view(np.uint64))
 
     def test_missing_profile_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA, name="e.ini")
@@ -660,3 +695,89 @@ class TestWriters:
                 "t,energy_drift,mass_drift_1,mass_drift_2,mass_drift_3\r\n")
         expected = head + self.reference_rows([times, e, m[:, 0], m[:, 1], m[:, 2]])
         assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+    @staticmethod
+    def check_csv(path, comment, header, rows):
+        """`path` holds the bytes the csv module writes for these cell strings,
+        and csv.reader reads the same strings back."""
+        buf = io.StringIO(newline="")
+        if comment is not None:
+            buf.write(f"# {comment}\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert path.read_bytes() == buf.getvalue().encode()
+        with open(path, newline="") as fh:
+            assert list(csv.reader(l for l in fh if not l.startswith("#"))) == [
+                header, *rows]
+
+    @staticmethod
+    def wild(rng, shape):
+        """Normal samples scaled by 10^k, k in [-300, 300), every 97th one -0.0."""
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        x.flat[::97] = -0.0
+        return x
+
+    def test_trace_across_block_boundary(self, tmp_path):
+        from trinls.cli import write_trace_csv
+        rng = np.random.default_rng(7)
+        cols = self.wild(rng, (5, _BLOCK + 1))
+        write_trace_csv(tmp_path / "trace.csv", t.EvolutionTrace(
+            times=cols[0], energy_drift=cols[1], mass_drifts=cols[2:].T))
+        cells = [list(map(repr, row)) for row in cols.T.tolist()]
+        self.check_csv(tmp_path / "trace.csv",
+                       "dimensionless units; drifts are relative to t = 0",
+                       ["t", "energy_drift", "mass_drift_1", "mass_drift_2",
+                        "mass_drift_3"], cells)
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_profile_across_block_boundaries(self, tmp_path, n):
+        grid = t.make_grid(n, 80.0)
+        rng = np.random.default_rng(n)
+        parts = self.wild(rng, (6, n))
+        u = np.empty((3, n), dtype=complex)
+        u.real, u.imag = parts[0::2], parts[1::2]  # keeps -0.0 where + 1j* would not
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        rows = np.vstack([grid.nodes, parts]).T.tolist()
+        cells = [list(map(repr, row)) for row in rows]
+        self.check_csv(tmp_path / "p.csv",
+                       "dimensionless units; one row per grid node, ordered by x",
+                       PROFILE_HEADER, cells)
+
+    def test_snapshot_index_and_margins_bytes(self, tmp_path):
+        grid = t.make_grid(512, 40.0)
+        u = np.zeros((3, 512), dtype=complex)
+        u[0] = np.exp(-grid.nodes ** 2)
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA + "[subadd]\nsplits = 2,0,0\n")
+        assert main(["evolve", "--config", cfg, "--profile", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "ev"), "--quiet"]) == 0
+        self.check_csv(tmp_path / "ev" / "snapshots.csv", None, ["t", "file"],
+                       [[repr(s * 1e-3), f"snap_{i:06d}.csv"]
+                        for i, s in enumerate((0, 50, 100))])
+        assert main(["subadd", "--config", cfg, "--out", str(tmp_path / "sub"),
+                     "--quiet"]) == 0
+        path = tmp_path / "sub" / "margins.csv"
+        with open(path, newline="") as fh:
+            row = list(csv.reader(fh))[2]
+        assert row[-1] in ("True", "False")
+        self.check_csv(path, "dimensionless units; margin = lambda(total) - "
+                       "lambda(p1) - lambda(p2)",
+                       ["r1", "s1", "t1", "r2", "s2", "t2", "lambda_total",
+                        "lambda_part1", "lambda_part2", "margin", "tolerance",
+                        "inconclusive"],
+                       [[repr(float(v)) for v in row[:-1]] + row[-1:]])
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(arrays(np.float64, (2, 3, 16), elements=st.floats(
+        -1e300, 1e300, allow_nan=False, allow_infinity=False)))
+    @example(np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1e300, -1e300, 1 / 3] * 12).reshape(2, 3, 16))
+    def test_profile_round_trip_is_exact(self, tmp_path_factory, parts):
+        grid = t.make_grid(16, 4.0)
+        u = np.empty((3, 16), dtype=complex)
+        u.real, u.imag = parts
+        path = tmp_path_factory.mktemp("rt") / "p.csv"
+        write_profile_csv(path, t.State.from_array(grid, u))
+        back = read_profile_csv(path, grid).stack()
+        assert np.array_equal(back.view(np.uint64), u.view(np.uint64))
