@@ -290,7 +290,8 @@ def read_profile_csv(path: Path, grid: Grid) -> State:
         if data.shape != (grid.n, len(PROFILE_HEADER)):
             raise ValueError(f"data shape {data.shape}, expected {grid.n} rows "
                              f"(grid nodes) of {len(PROFILE_HEADER)} columns")
-        if not np.allclose(data[:, 0], grid.nodes, atol=1e-9 * max(1.0, grid.spacing)):
+        if not np.allclose(data[:, 0], grid.nodes, rtol=0,
+                           atol=1e-9 * max(1.0, grid.spacing)):
             raise ValueError("node positions do not match grid")
         # the (re, im) column pairs viewed as complex keep every bit, -0.0 too
         return State.from_array(grid, data[:, 1:].view(complex).T)
@@ -414,8 +415,11 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     lam_total = minimize(cfg.model, total, cfg.grid, cfg.solver).lam
     rows = []
     for split, (part1, part2) in zip(cfg.subadd_splits, parts):
-        res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
-                                  cfg.solver, lam_total=lam_total)
+        try:
+            res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
+                                      cfg.solver, lam_total=lam_total)
+        except ConvergenceError as err:
+            raise type(err)(f"split {split}: {err}", err.last) from err
         rows.append((res.part1.r, res.part1.s, res.part1.t, res.part2.r,
                      res.part2.s, res.part2.t, res.lam_total, res.lam_part1,
                      res.lam_part2, res.margin, res.tolerance, res.inconclusive))

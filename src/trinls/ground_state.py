@@ -9,16 +9,18 @@ renormalization is the exact projection onto the constraint set.
 Two flow schemes are provided:
 
 ``preconditioned`` (default)
-    Steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with the
-    multiplier estimate w_j re-extracted every iteration.  The fixed point of
-    step + projection g(u) is exactly the Euler-Lagrange state.  With tau = 1
-    and s_j = w_j the step is the Green-kernel sweep below.  g is Anderson-
-    mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
-    `_DEPTH` iterate and step differences; a mixed iterate that raises the
-    energy beyond the monotonicity slack, or the residual above
+    Steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with w_j
+    and the residual re-extracted every iteration by the `model` kernels the
+    polish and `el_residual` use (relative to the prescribed masses here).
+    The fixed point of step + projection g(u) is exactly the Euler-Lagrange
+    state.  With tau = 1 and s_j = w_j the step is the Green-kernel sweep
+    below.  g is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+    over the last `_DEPTH` iterate and step differences; a mixed iterate that
+    raises the energy beyond the monotonicity slack, or the residual above
     `_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain
-    step and the history is cleared.  About 15 iterations reach the
-    round-off floor.
+    step and the history is cleared.  About 15 iterations reach the round-off
+    floor; `_STALL` accepted iterations without a new lowest residual mean a
+    floor above the target, and end the flow.
 
 ``explicit``
     Plain forward-Euler descent u <- u - tau_eff * G with tau_eff a fraction
@@ -162,6 +164,7 @@ _SHIFT_FLOOR = 1e-3
 _SHIFT_FALLBACK = 0.5
 _DEPTH = 3  # Anderson mixing depth: step differences kept
 _RESIDUAL_GROWTH = 10.0  # a mixed iterate's residual over the lowest reached
+_STALL = 50  # accepted iterations without a new lowest residual: stalled
 
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
@@ -223,8 +226,9 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     for the preconditioned scheme, until the energy decrease drops below
     `energy_tol` while the Euler-Lagrange residual is below
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
-    (carrying the last iterate) when `max_iters` is exhausted and
-    `StepCollapseError` if the iterate leaves the finite range.
+    (carrying the last iterate) after `max_iters`, or after `_STALL` accepted
+    iterations without a new lowest residual; `StepCollapseError` if the
+    iterate leaves the finite range.
     """
     targets = masses.as_array()
     act = np.flatnonzero(targets > 0)
@@ -247,6 +251,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     history = []
     w = np.full(3, np.nan)
     res = res_min = np.inf
+    best = 0  # accepted iterations up to the lowest residual
     converged = False
     for it in range(cfg.max_iters):
         uh = fft(u, axis=-1)
@@ -258,15 +263,10 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             raise StepCollapseError(
                 f"non-finite energy at iteration {it} (step size collapse)")
         N = _nonlinearity(u, model.a, model.p, mod, mod_p)
-
-        w_it = np.full(3, np.nan)
-        w_it[act] = -(kin[act] - inter[act]) / targets[act]
+        w_it = _multiplier_array(u, grid, model, targets, (kin, inter))
         wa = w_it[act, None]
-
-        # Fourier transform of the residual G_j + w_j u_j
-        rh = (k2 + wa) * uh[act] - fft(N[act], axis=-1)
-        res_it = float(np.sqrt(np.max(
-            h / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / targets[act])))
+        # rh: Fourier transform of the residual G_j + w_j u_j (active rows)
+        res_it, rh = _el_residual_array(u, w_it, grid, model, targets, uh, N)
         if plain is not None and not (E <= e_prev + slack and
                                       res_it <= _RESIDUAL_GROWTH * res_min):
             # raised energy or residual (at round-off the weights fit noise)
@@ -274,10 +274,13 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             continue
         history.append(E)
         w, res = w_it, res_it
-        res_min = min(res_min, res)
+        if res < res_min:
+            res_min, best = res, len(history)
 
         if abs(e_prev - E) < cfg.energy_tol and res < target:
             converged = True
+            break
+        if len(history) - best >= _STALL:
             break
         e_prev = E
 
@@ -316,11 +319,12 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
     if not converged:
-        last = _package(u, w, res, cfg.max_iters, model, masses, grid,
+        last = _package(u, w, res, it + 1, model, masses, grid,
                         history, validate=False)
         raise ConvergenceError(
-            f"no convergence in {cfg.max_iters} iterations "
-            f"(residual {res:.3e}, target {target:.1e})", last=last)
+            f"no convergence in {it + 1} iterations, the last {len(history) - best} "
+            f"without a new lowest residual (residual {res:.3e}, target "
+            f"{target:.1e})", last=last)
     return _package(u, w, res, it, model, masses, grid, history)
 
 
@@ -364,21 +368,18 @@ def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
     grid = state.grid
     targets = masses.as_array()
     active = targets > 0
-    h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, 1e-11)
-    u = _project(state.stack(), targets, h)
+    u = _project(state.stack(), targets, grid.spacing)
     w, res = _multiplier_array(u, grid, model), np.inf
     for sweeps in range(1, max_sweeps + 1):
         if not np.all(w[active] > 0):
             raise DivergenceError(f"multiplier {w} not positive during refinement")
         N = _nonlinearity(u, model.a, model.p)
-        for j in range(3):
-            if active[j]:
-                u[j] = ifft(fft(N[j]) / (k2 + w[j]))
-        u = _project(u, targets, h)
+        u[active] = ifft(fft(N[active], axis=-1) / (k2 + w[active, None]), axis=-1)
+        u = _project(u, targets, grid.spacing)
         w = _multiplier_array(u, grid, model)
-        res = _el_residual_array(u, w, grid, model)
+        res = _el_residual_array(u, w, grid, model)[0]
         if res < target:
             return _package(u, w, res, sweeps, model, masses, grid, [],
                             validate=False)

@@ -166,11 +166,12 @@ def _energy_array(u: np.ndarray, grid: Grid, model: CouplingModel,
     return float(np.sum(kin) - np.sum(inter) / model.p)
 
 
-def _multiplier_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.ndarray:
-    """w_j = -(kin_j - inter_j) / mass_j; nan where the component has no mass."""
-    h = grid.spacing
-    kin, inter = _energy_terms(u, grid, model)
-    m = h * np.sum(np.abs(u) ** 2, axis=1)
+def _multiplier_array(u: np.ndarray, grid: Grid, model: CouplingModel,
+                      m: np.ndarray = None, terms=None) -> np.ndarray:
+    """w_j = -(kin_j - inter_j) / m_j, nan where m_j = 0; `m` and `terms`
+    default to the masses of u and `_energy_terms(u, grid, model)`."""
+    kin, inter = _energy_terms(u, grid, model) if terms is None else terms
+    m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
     w = np.full(3, np.nan)
     pos = m > 0
     w[pos] = -(kin[pos] - inter[pos]) / m[pos]
@@ -178,14 +179,20 @@ def _multiplier_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.nda
 
 
 def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
-                       model: CouplingModel) -> float:
-    h = grid.spacing
-    m = h * np.sum(np.abs(u) ** 2, axis=1)
+                       model: CouplingModel, m: np.ndarray = None,
+                       uh: np.ndarray = None, N: np.ndarray = None):
+    """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh) over the rows with mass, by
+    Parseval from rh_j = (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j +
+    w_j u_j; `m`, `uh`, `N` default to the masses of u, fft(u) and N(u)."""
+    m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
     live = ~(m <= 0)  # not `m > 0`: a NaN mass must yield a NaN residual
     if not np.any(live):
         raise ValueError("all components have zero mass")
-    r = _gradient_array(u, grid, model)[live] + w[live, None] * u[live]
-    return float(np.max(np.sqrt(h * np.sum(np.abs(r) ** 2, axis=1) / m[live])))
+    uh = fft(u, axis=-1) if uh is None else uh
+    N = _nonlinearity(u, model.a, model.p) if N is None else N
+    rh = (grid.wavenumbers ** 2 + w[live, None]) * uh[live] - fft(N[live], axis=-1)
+    sq = grid.spacing / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / m[live]
+    return float(np.sqrt(np.max(sq))), rh
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
 
 def el_residual(state: State, mult: Multipliers, model: CouplingModel) -> float:
     """max_j ||G_j + w_j u_j|| / ||u_j||, skipping zero-mass components."""
-    return _el_residual_array(state.stack(), mult.as_array(), state.grid, model)
+    return _el_residual_array(state.stack(), mult.as_array(), state.grid, model)[0]
 
 
 def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:

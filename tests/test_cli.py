@@ -359,11 +359,11 @@ snapshot_every = 50
 """
 
 
-def profile_text(n=512, shift=0.0, cols=7, header=PROFILE_HEADER):
-    """A zero profile in the profile.csv layout, with its nodes shifted by
-    `shift` and `cols` columns per row."""
+def profile_text(n=512, shift=0.0, cols=7, header=PROFILE_HEADER, length=40.0):
+    """A zero profile in the profile.csv layout, with the nodes of an (n,
+    length) grid shifted by `shift` and `cols` columns per row."""
     rows = np.zeros((n, cols))
-    rows[:, 0] = t.make_grid(n, 40.0).nodes + shift
+    rows[:, 0] = t.make_grid(n, length).nodes + shift
     return (",".join(header) + "\n"
             + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
 
@@ -420,14 +420,16 @@ class TestEvolve:
         (profile_text(header=PROFILE_HEADER[:-1] + ["im_u4"]), "header"),
         (profile_text(n=256), "rows"),
         (profile_text(shift=0.5), "node positions"),
+        # node gaps up to 1.5e-4 (0.2% of h), inside numpy's default rtol
+        (profile_text(length=40.0003), "node positions"),
         (profile_text(cols=9), "columns"),
         (profile_text().replace(",0.0\n", ",abc\n", 1), "convert string 'abc'"),
         (profile_text().replace(",0.0\n", "\n", 1), "number of columns changed"),
         (profile_text().replace(",0.0\n", ",nan\n", 1), "non-finite"),
         (profile_text().replace(",0.0\n", ",-inf\n", 1), "non-finite"),
         (",".join(PROFILE_HEADER) + "\n", "rows"),
-    ], ids=["empty", "comments-only", "header", "rows", "nodes", "columns",
-            "non-numeric", "ragged", "nan", "inf", "no-rows"])
+    ], ids=["empty", "comments-only", "header", "rows", "nodes", "length",
+            "columns", "non-numeric", "ragged", "nan", "inf", "no-rows"])
     def test_bad_profile_exit_code(self, tmp_path, capsys, route, content, words):
         path = tmp_path / "bad.csv"
         path.write_text(content)
@@ -529,6 +531,20 @@ class TestSubadd:
                      "--quiet"]) == 0
         assert len(calls) == 1 + 2 * 3
         assert calls.count(t.MassTriple(4.0, 0.0, 0.0)) == 1
+
+    def test_failed_part_solve_names_split(self, tmp_path, capsys, monkeypatch):
+        import trinls.cli as cli
+
+        def failing(*args, **kwargs):
+            raise t.ConvergenceError("no convergence in 2 iterations")
+
+        monkeypatch.setattr(cli, "subadditivity_check", failing)
+        cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 2,0,0\n",
+                           name="sub.ini")
+        assert main(["subadd", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "split (2.0, 0.0, 0.0): no convergence in 2 iterations" in err
 
     def test_split_exceeding_total_rejected(self, tmp_path, capsys):
         # 2,1e-13,0 lies within the round-off slack, but the total has no s

@@ -230,6 +230,18 @@ class TestAndersonMixing:
             gs = err.last
         assert gs.residual <= 1e-8
 
+    def test_stalled_flow_fails_fast(self):
+        # the same stalled start: no new lowest residual for 50 iterations
+        # ends the solve long before max_iters = 5000
+        model = t.CouplingModel(np.full((3, 3), 1.054), 2.36)
+        cfg = t.SolverConfig(noise=0.2, seed=54)
+        with pytest.raises(t.ConvergenceError, match="the last 50 without") as info:
+            t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
+                       t.make_grid(256, 40.0), cfg)
+        last = info.value.last
+        assert last.iterations <= 150
+        assert f"residual {last.residual:.3e}" in str(info.value)
+
 
 class TestRefineFixedPoint:
     def test_closed_form_is_fixed_point(self, grid64, model_ones):
@@ -266,6 +278,25 @@ class TestRefineFixedPoint:
         with pytest.raises(t.DivergenceError):
             t.refine_fixed_point(state, model_ones,
                                  t.MassTriple(0.01, 0.01, 0.01), max_sweeps=40)
+
+
+class TestOneResidualDefinition:
+    """The flow, the polish and `el_residual` share one residual, relative to
+    the prescribed masses in the solvers and to the achieved ones in
+    `el_residual`; the two agree to round-off."""
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_el_residual_reads_gs_residual(self, p, n):
+        if p == 2.0:
+            model, masses = t.CouplingModel(np.ones((3, 3)), p), (4 / 3,) * 3
+        else:
+            model, masses = t.CouplingModel(ASYMMETRIC_A, p), (2.0, 1.5, 1.2)
+        m = t.MassTriple(*masses)
+        gs = t.minimize(model, m, t.make_grid(n, 40.0))
+        for solved in (gs, t.refine_fixed_point(gs.profile, model, m)):
+            res = t.el_residual(solved.profile, solved.multipliers, model)
+            assert abs(res - solved.residual) <= 1e-13 * solved.residual
 
 
 class TestFineGridPresets:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import trinls as t
-from trinls.model import _multiplier_array, gradient_fd_error
+from trinls.model import (_el_residual_array, _multiplier_array,
+                          gradient_fd_error)
 from trinls.tolerances import DEFAULT as TOLS
 
 
@@ -108,6 +109,8 @@ class TestPrecomputedModuli:
 
     @pytest.mark.parametrize("p", [2.0, 2.5])
     def test_kernels_bitwise(self, grid40, p, rng):
+        from scipy.fft import fft
+
         from trinls.model import _coefficients, _energy_terms, _nonlinearity
         a = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
         model = t.CouplingModel(a, p)
@@ -119,9 +122,16 @@ class TestPrecomputedModuli:
                 == _coefficients(u, a, p).tobytes())
         assert (_nonlinearity(u, a, p, mod, mod_p).tobytes()
                 == _nonlinearity(u, a, p).tobytes())
-        for given, own in zip(_energy_terms(u, grid40, model, None, mod_p),
-                              _energy_terms(u, grid40, model)):
+        terms = _energy_terms(u, grid40, model, None, mod_p)
+        for given, own in zip(terms, _energy_terms(u, grid40, model)):
             assert given.tobytes() == own.tobytes()
+        m = grid40.spacing * np.sum(mod ** 2, axis=1)
+        w = _multiplier_array(u, grid40, model, m, terms)
+        assert w.tobytes() == _multiplier_array(u, grid40, model).tobytes()
+        given = _el_residual_array(u, w, grid40, model, m, fft(u, axis=-1),
+                                   _nonlinearity(u, a, p, mod, mod_p))
+        own = _el_residual_array(u, w, grid40, model)
+        assert given[0] == own[0] and given[1].tobytes() == own[1].tobytes()
 
 
 class TestMultipliersAndResidual:
