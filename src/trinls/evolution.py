@@ -12,8 +12,8 @@ neither recorded nor snapshotted costs two transform calls of three rows:
 the forward one out of the nonlinear substep and the inverse one into the
 next.  A recorded step makes its inverse transform of a stacked (6, n)
 array instead, whose rows give the next nonlinear substep's input and the
-samples u(t_n), bit for bit as separate calls would; its record reduces the
-energy by dot products, and the drifts are formed once after the loop.
+samples u(t_n), bit for bit as separate calls would; its record uses the
+model's energy kernel, and the drifts are formed once after the loop.
 
 The nonlinear substep is exact: the coefficients depend only on the moduli
 |u_m|, and a simultaneous pure phase rotation of the components leaves every
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .model import CouplingModel, State, _coefficients
+from .model import CouplingModel, State, _coefficients, _energy_array
 from .spectral import Grid
 
 
@@ -116,21 +116,12 @@ def step(state: State, dt: float, model: CouplingModel) -> State:
     return State.from_array(grid, ifft(uh, axis=-1))
 
 
-def _mass_energy(u, uh, grid: Grid, model: CouplingModel, kin_w=None):
-    """Per-component masses and the energy from one |u| pass.
-
-    The masses sum as State.masses does; the energy takes two BLAS
-    reductions: the squared real and imaginary parts of uh against
-    `kin_w` = h/n k^2 (each k twice), and <|u|^p, a |u|^p>.
-    """
-    if kin_w is None:
-        kin_w = grid.spacing / grid.n * np.repeat(grid.wavenumbers ** 2, 2)
+def _record(u, uh, grid: Grid, model: CouplingModel):
+    """Per-component masses and the energy H from one |u| pass."""
     mod = np.abs(u)
     mod2 = mod ** 2
     mod_p = mod2 if model.p == 2.0 else mod ** model.p
-    kin = np.square(uh.view(float)) @ kin_w
-    inter = grid.spacing * np.vdot(mod_p, model.a @ mod_p)
-    return grid.spacing * np.sum(mod2, axis=1), float(np.sum(kin) - inter / model.p)
+    return grid.spacing * np.sum(mod2, axis=1), _energy_array(u, grid, model, uh, mod_p)
 
 
 def _trace(times, masses, energies, snaps) -> EvolutionTrace:
@@ -172,10 +163,9 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     times = np.array(recorded) * dt
     u = state0.stack()
     uh = fft(u, axis=-1)
-    kin_w = grid.spacing / grid.n * np.repeat(grid.wavenumbers ** 2, 2)
     masses = np.empty((len(recorded), 3))
     energies = np.empty(len(recorded))
-    masses[0], energies[0] = _mass_energy(u, uh, grid, model, kin_w)
+    masses[0], energies[0] = _record(u, uh, grid, model)
     rows = 1
     snaps = [(0.0, State.from_array(grid, u))] if snapshot_every > 0 else None
 
@@ -203,7 +193,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
         both = ifft(pair, axis=-1)
         v, u = both[:3], both[3:]
         if record:
-            masses[rows], energies[rows] = _mass_energy(u, uh, grid, model, kin_w)
+            masses[rows], energies[rows] = _record(u, uh, grid, model)
             if not math.isfinite(energies[rows]):
                 raise blow_up("energy", s)
             rows += 1

@@ -226,9 +226,9 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     for the preconditioned scheme, until the energy decrease drops below
     `energy_tol` while the Euler-Lagrange residual is below
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
-    (carrying the last iterate) after `max_iters`, or after `_STALL` accepted
-    iterations without a new lowest residual; `StepCollapseError` if the
-    iterate leaves the finite range.
+    (carrying the last accepted, evaluated iterate) after `max_iters`, or
+    after `_STALL` accepted iterations without a new lowest residual;
+    `StepCollapseError` if the iterate leaves the finite range.
     """
     targets = masses.as_array()
     act = np.flatnonzero(targets > 0)
@@ -273,7 +273,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             u, plain, count = plain, None, -1
             continue
         history.append(E)
-        w, res = w_it, res_it
+        u_acc, w, res = u, w_it, res_it  # the iterate w, res and E belong to
         if res < res_min:
             res_min, best = res, len(history)
 
@@ -319,13 +319,13 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
     if not converged:
-        last = _package(u, w, res, it + 1, model, masses, grid,
+        last = _package(u_acc, w, res, it + 1, model, masses, grid,
                         history, validate=False)
         raise ConvergenceError(
             f"no convergence in {it + 1} iterations, the last {len(history) - best} "
             f"without a new lowest residual (residual {res:.3e}, target "
             f"{target:.1e})", last=last)
-    return _package(u, w, res, it, model, masses, grid, history)
+    return _package(u_acc, w, res, it, model, masses, grid, history)
 
 
 def _package(u, w, res, iters, model, masses, grid, history,
@@ -425,7 +425,9 @@ def concentration(state: State, etas: Sequence[float]) -> ConcentrationProfile:
     rho = np.sum(np.abs(u) ** 2, axis=0)
     total = float(h * np.sum(rho))
     etas_sorted = tuple(sorted(float(e) for e in etas))
-    if any(e < 0 for e in etas_sorted):
+    if not etas_sorted:
+        raise ValueError("at least one window half-width is needed")
+    if etas_sorted[0] < 0:
         raise ValueError("window half-widths must be non-negative")
     ext = np.concatenate([rho, rho])
     cs = np.concatenate([[0.0], np.cumsum(ext)])

@@ -40,7 +40,7 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
     """Plain Strang loop: three separate transforms per step, the phase
     factor written out, the energy from the model kernel, drifts formed step
     by step and the guard on the energy.  `evolve` must give the same
-    trajectory bit for bit (its energy to round-off)."""
+    trajectory and drifts bit for bit."""
     from scipy.fft import fft, ifft
     from trinls.evolution import _phase_coefficient
     from trinls.model import _energy_array
@@ -91,11 +91,10 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
 
 
 def assert_same_trace(trace, ref):
-    """Byte-identical times, mass drifts and snapshots; energy drifts to
-    1e-14 (the record sums in a different order)."""
+    """Byte-identical times, drifts and snapshots."""
     assert trace.times.tobytes() == ref.times.tobytes()
     assert trace.mass_drifts.tobytes() == ref.mass_drifts.tobytes()
-    assert np.max(np.abs(trace.energy_drift - ref.energy_drift)) <= 1e-14
+    assert trace.energy_drift.tobytes() == ref.energy_drift.tobytes()
     assert (trace.snapshots is None) == (ref.snapshots is None)
     if ref.snapshots is not None:
         assert [s for s, _ in trace.snapshots] == [s for s, _ in ref.snapshots]
@@ -305,21 +304,16 @@ class TestModulusPass:
         assert _phase_coefficient(u, ASYMMETRIC_A, p).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", [2.0, 2.5])
-    def test_mass_energy_bitwise(self, grid40, p, rng):
+    def test_record_bitwise(self, grid40, p, rng):
+        # the record's masses and energy are State.masses() and energy()
         from scipy.fft import fft
-        from trinls.evolution import _mass_energy
-        from trinls.model import _energy_array, _energy_terms
+        from trinls.evolution import _record
         model = t.CouplingModel(ASYMMETRIC_A, p)
         u = t.random_smooth_state(grid40, rng)
-        uh = fft(u, axis=-1)
-        m, E = _mass_energy(u, uh, grid40, model)
-        assert m.tobytes() == (grid40.spacing
-                               * np.sum(np.abs(u) ** 2, axis=1)).tobytes()
-        # the energy reduces by dot products, in another summation order
-        # than the kernel: equal to 1e-14 of the sum of the term magnitudes
-        kin, inter = _energy_terms(u, grid40, model, uh)
-        scale = np.sum(kin) + np.sum(inter) / p
-        assert abs(E - _energy_array(u, grid40, model, uh)) <= 1e-14 * scale
+        state = t.State.from_array(grid40, u)
+        m, E = _record(u, fft(u, axis=-1), grid40, model)
+        assert m.tobytes() == state.masses().tobytes()
+        assert E == t.energy(state, model)
 
 
 class TestConservation:

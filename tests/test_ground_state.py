@@ -110,6 +110,18 @@ class TestSolverContracts:
         assert err.value.last is not None
         assert err.value.last.iterations == 2
 
+    def test_budget_exhaustion_carries_evaluated_iterate(self, grid40, model_ones):
+        # the carried profile is the iterate its residual, multipliers and
+        # last energy were computed from, not the step taken after it
+        cfg = t.SolverConfig(max_iters=8)
+        with pytest.raises(t.ConvergenceError) as err:
+            t.minimize(model_ones, t.MassTriple(4.0, 0.0, 0.0), grid40, cfg)
+        last = err.value.last
+        res = t.el_residual(last.profile, last.multipliers, model_ones)
+        assert res == pytest.approx(last.residual, rel=1e-12)
+        E = t.energy(last.profile, model_ones)
+        assert E == pytest.approx(last.energy_history[-1], rel=1e-14)
+
     def test_unstable_explicit_step_does_not_converge(self, grid40, model_ones):
         # explicit Euler far beyond the stability limit: the projection keeps
         # the iterate finite, so the budget runs out
@@ -216,19 +228,21 @@ class TestAndersonMixing:
         assert gs.iterations <= 30
 
     @pytest.mark.parametrize("max_iters", [100, 200, 1000])
-    def test_residual_guard_at_round_off_floor(self, max_iters):
+    def test_residual_guard_at_round_off_floor(self, max_iters, monkeypatch):
         # a noisy start at p != 2 on the coarse grid stalls near 2e-10, above
         # the residual target; mixing noise at that floor pushed the carried
         # iterate's residual up to ~1e-6 until mixed iterates whose residual
-        # exceeds ten times the lowest one reached gave way to the plain step
+        # exceeds ten times the lowest one reached gave way to the plain step.
+        # The stall exit is switched off so the guard runs the whole budget.
+        monkeypatch.setattr("trinls.ground_state._STALL", max_iters + 1)
         model = t.CouplingModel(np.full((3, 3), 1.054), 2.36)
         cfg = t.SolverConfig(noise=0.2, seed=54, max_iters=max_iters)
-        try:
-            gs = t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
-                            t.make_grid(256, 40.0), cfg)
-        except t.ConvergenceError as err:
-            gs = err.last
-        assert gs.residual <= 1e-8
+        with pytest.raises(t.ConvergenceError) as err:
+            t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
+                       t.make_grid(256, 40.0), cfg)
+        gs = err.value.last
+        assert gs.iterations == max_iters
+        assert t.el_residual(gs.profile, gs.multipliers, model) <= 1e-8
 
     def test_stalled_flow_fails_fast(self):
         # the same stalled start: no new lowest residual for 50 iterations
@@ -361,6 +375,10 @@ class TestConcentration:
         total = S.masses().sum()
         prof = t.concentration(S, [3.0])
         assert prof.values[0] == pytest.approx(total / 2, rel=2e-3)
+
+    def test_rejects_empty_etas(self, gs_equal):
+        with pytest.raises(ValueError, match="at least one window half-width"):
+            t.concentration(gs_equal.profile, [])
 
     def test_monotone_in_eta(self, gs_equal, rng):
         etas = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
