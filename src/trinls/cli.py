@@ -15,9 +15,9 @@ every error names its section.key.  Accepted values (see README):
     [grid]      n (power of two >= 16), length > 0
     [coupling]  a11, a12, a13, a22, a23, a33 > 0 (symmetric), 2 <= p < 3
     [masses]    r, s, t >= 0, at least one > 0
-    [solver]    tau > 0, max_iters >= 1, residual_tol > 0, energy_tol > 0,
-                seed >= 0, init, init_profile (given exactly when
-                init = supplied), scheme, noise >= 0       (all optional)
+    [solver]    tau > 0, max_iters >= 1, residual_tol > 0, seed >= 0,
+                init_profile (a profile file to start from), scheme,
+                noise >= 0 (0 with init_profile)           (all optional)
     [evolution] t >= 0, dt != 0 (t / |dt| steps at most sys.maxsize),
                 snapshot_every >= 0
     [stability] kind, delta >= 0, eps > 0, seeds (distinct) >= 0,
@@ -25,8 +25,9 @@ every error names its section.key.  Accepted values (see README):
     [subadd]    splits        e.g.  splits = 2,0,0 ; 1,0.5,0
     [output]    dir                                        (optional)
 
-Every ground state is one `minimize` call.  Only `#` starts an inline
-comment: `;` separates subadd splits.
+Every ground state is one `minimize` call: it starts from init_profile when
+that is given, else from gaussian bumps, and stops on its residual target.
+Only `#` starts an inline comment: `;` separates subadd splits.
 
 Scalars go to JSON, field data to CSV: an optional `# ` line ending in LF,
 then header and rows ending in CRLF, each float its shortest round-trip repr
@@ -119,8 +120,7 @@ _SCHEMA = {
                         ("a11", "a12", "a13", "a22", "a23", "a33", "p")}),
     "masses": (True, {k: (float, ..., None) for k in ("r", "s", "t")}),
     "solver": (False, {k: (conv, getattr(_SOLVER, k, None), None) for k, conv in (
-        ("tau", float), ("max_iters", int), ("residual_tol", float),
-        ("energy_tol", float), ("seed", int), ("init", str),
+        ("tau", float), ("max_iters", int), ("residual_tol", float), ("seed", int),
         ("init_profile", str), ("scheme", str), ("noise", float))}),
     "evolution": (False, {"t": (float, ..., _GE0), "dt": (float, ..., _NE0),
                           "snapshot_every": (int, 0, _GE0)}),
@@ -164,11 +164,11 @@ def _read_section(name: str, raw) -> dict:
 
 
 def _build(prefix: str, factory, **kwargs):
-    """factory(**kwargs); its ValueError becomes a ConfigError that starts
-    with `prefix` (the section)."""
+    """factory(**kwargs); its ValueError, or MemoryError (a grid too large to
+    allocate), becomes a ConfigError that starts with `prefix` (the section)."""
     try:
         return factory(**kwargs)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise ConfigError(f"{prefix}{err}") from err
 
 
@@ -207,9 +207,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
 
     knobs = sec["solver"]
     profile = knobs.pop("init_profile")
-    if (profile is not None) != (knobs["init"] == "supplied"):
-        raise ConfigError("solver.init_profile must be given exactly when "
-                          "solver.init = supplied")
     if profile is not None:
         try:
             knobs["initial_state"] = read_profile_csv(Path(profile), grid)
@@ -517,13 +514,17 @@ def main(argv=None) -> int:
     # the exit-code map: the cmd_* functions raise, main reports
     try:
         if args.command == "validate":
-            out = Path(args.out) if args.out else None
+            cfg, out = None, Path(args.out) if args.out else None
+        else:
+            cfg = load_config(args.config, seed_override=args.seed)
+            out = Path(args.out) if args.out else Path(cfg.out_dir)
+        try:
             if out is not None:
                 out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:  # e.g. the path or a parent is an existing file
+            raise ConfigError(f"cannot make output directory {out}: {err}") from err
+        if cfg is None:
             return cmd_validate(out, args.quiet)
-        cfg = load_config(args.config, seed_override=args.seed)
-        out = Path(args.out) if args.out else Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_metadata(out, [args.command] + argv[1:])
         if args.command == "evolve":
             return cmd_evolve(cfg, args.profile, out, args.quiet)

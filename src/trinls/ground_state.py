@@ -53,7 +53,7 @@ from scipy.fft import fft, ifft
 
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
-                    _multiplier_array, _nonlinearity, sech_profile)
+                    _multiplier_array, _nonlinearity)
 # _rearrange_samples is unused here; bench/tracing.py wraps it by this path
 from .spectral import Grid, _rearrange_samples  # noqa: F401
 from .tolerances import DEFAULT as TOLS
@@ -83,17 +83,16 @@ class SolverConfig:
     """Knobs for `minimize`.  Defaults suit n=1024, L=40 production runs.
 
     `residual_tol` is raised to the grid's round-off floor
-    (`_residual_target`); `init` is one of {"gaussian_bumps", "sech_guess",
-    "supplied"} ("supplied" requires `initial_state`); `noise` seeds the
-    gaussian init with multiplicative complex noise (for basin checks).
+    (`_residual_target`).  The flow starts from `initial_state` when it is
+    given, else from gaussian bumps on the active components, which `noise`
+    (so only without `initial_state`) seeds with multiplicative complex
+    noise (for basin checks).
     """
 
     tau: float = 1.0
     max_iters: int = 5000
     residual_tol: float = 5e-12
-    energy_tol: float = 1e-12
     seed: int = 0
-    init: str = "gaussian_bumps"
     initial_state: Optional[State] = None
     scheme: str = "preconditioned"
     noise: float = 0.0
@@ -103,17 +102,14 @@ class SolverConfig:
                 ("tau", self.tau > 0, "> 0"),
                 ("max_iters", self.max_iters >= 1, ">= 1"),
                 ("residual_tol", self.residual_tol > 0, "> 0"),
-                ("energy_tol", self.energy_tol > 0, "> 0"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("noise", self.noise >= 0, ">= 0"),
-                ("init", self.init in ("gaussian_bumps", "sech_guess", "supplied"),
-                 "gaussian_bumps, sech_guess or supplied"),
+                ("noise", self.noise == 0 or self.initial_state is None,
+                 "0 with a supplied start"),
                 ("scheme", self.scheme in ("preconditioned", "explicit"),
                  "preconditioned or explicit")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if self.init == "supplied" and self.initial_state is None:
-            raise ValueError("init='supplied' requires initial_state")
 
 
 @dataclass(frozen=True)
@@ -165,6 +161,7 @@ _SHIFT_FALLBACK = 0.5
 _DEPTH = 3  # Anderson mixing depth: step differences kept
 _RESIDUAL_GROWTH = 10.0  # a mixed iterate's residual over the lowest reached
 _STALL = 50  # accepted iterations without a new lowest residual: stalled
+_MAX_SWEEPS = 600  # polish sweeps before `refine_fixed_point` gives up
 
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
@@ -182,24 +179,16 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
-                   cfg: SolverConfig) -> np.ndarray:
+def _initial_array(masses: MassTriple, grid: Grid, cfg: SolverConfig) -> np.ndarray:
     targets = masses.as_array()
     n = grid.n
-    x = grid.nodes
     u = np.zeros((3, n), dtype=complex)
-    if cfg.init == "supplied":
-        sup = cfg.initial_state
-        if sup.grid != grid:
+    if cfg.initial_state is not None:
+        if cfg.initial_state.grid != grid:
             raise ValueError("supplied initial state lives on a different grid")
-        u = sup.stack().astype(complex)
-    elif cfg.init == "sech_guess":
-        seed_profile = sech_profile(1.0, 1.0, model.p, grid).values
-        for j in range(3):
-            if targets[j] > 0:
-                u[j] = seed_profile
-    else:  # gaussian_bumps
-        env = np.exp(-x ** 2 / 8.0)
+        u = cfg.initial_state.stack().astype(complex)
+    else:  # gaussian bumps
+        env = np.exp(-grid.nodes ** 2 / 8.0)
         rng = np.random.default_rng(cfg.seed)
         for j in range(3):
             if targets[j] > 0:
@@ -223,11 +212,11 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     """Minimize H over the mass-constraint set; returns the ground state.
 
     Iterates the normalized flow (step, exact mass projection), Anderson-mixed
-    for the preconditioned scheme, until the energy decrease drops below
-    `energy_tol` while the Euler-Lagrange residual is below
+    for the preconditioned scheme, until the Euler-Lagrange residual is below
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
-    (carrying the last accepted, evaluated iterate) after `max_iters`, or
-    after `_STALL` accepted iterations without a new lowest residual;
+    (carrying the last accepted, evaluated iterate) after `max_iters`, after
+    `_STALL` accepted iterations without a new lowest residual, or when the
+    converged lambda is not negative (not a minimizer);
     `StepCollapseError` if the iterate leaves the finite range.
     """
     targets = masses.as_array()
@@ -235,8 +224,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, cfg.residual_tol)
-    slack = TOLS.energy_monotone_factor * cfg.energy_tol
-    u = _initial_array(model, masses, grid, cfg)
+    u = _initial_array(masses, grid, cfg)
 
     mix = cfg.scheme == "preconditioned"
     tau_eff = cfg.tau if mix else cfg.tau * 2.0 / k2.max()
@@ -252,7 +240,6 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     w = np.full(3, np.nan)
     res = res_min = np.inf
     best = 0  # accepted iterations up to the lowest residual
-    converged = False
     for it in range(cfg.max_iters):
         uh = fft(u, axis=-1)
         mod = np.abs(u)
@@ -267,7 +254,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         wa = w_it[act, None]
         # rh: Fourier transform of the residual G_j + w_j u_j (active rows)
         res_it, rh = _el_residual_array(u, w_it, grid, model, targets, uh, N)
-        if plain is not None and not (E <= e_prev + slack and
+        if plain is not None and not (E <= e_prev + TOLS.energy_monotone_slack and
                                       res_it <= _RESIDUAL_GROWTH * res_min):
             # raised energy or residual (at round-off the weights fit noise)
             u, plain, count = plain, None, -1
@@ -277,10 +264,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         if res < res_min:
             res_min, best = res, len(history)
 
-        if abs(e_prev - E) < cfg.energy_tol and res < target:
-            converged = True
-            break
-        if len(history) - best >= _STALL:
+        if res < target or len(history) - best >= _STALL:
             break
         e_prev = E
 
@@ -318,18 +302,20 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         del x, gx, f  # free before the next step: lower peak memory
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
-    if not converged:
-        last = _package(u_acc, w, res, it + 1, model, masses, grid,
-                        history, validate=False)
+    if not res < target:
+        last = _package(u_acc, w, res, it + 1, model, masses, grid, history)
         raise ConvergenceError(
             f"no convergence in {it + 1} iterations, the last {len(history) - best} "
             f"without a new lowest residual (residual {res:.3e}, target "
             f"{target:.1e})", last=last)
-    return _package(u_acc, w, res, it, model, masses, grid, history)
+    gs = _package(u_acc, w, res, it, model, masses, grid, history)
+    if not gs.lam < 0:
+        raise ConvergenceError(
+            f"converged to non-negative energy {gs.lam:.3e}; not a minimizer", last=gs)
+    return gs
 
 
-def _package(u, w, res, iters, model, masses, grid, history,
-             validate: bool = True) -> GroundState:
+def _package(u, w, res, iters, model, masses, grid, history) -> GroundState:
     h = grid.spacing
     achieved = h * np.sum(np.abs(u) ** 2, axis=1)
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
@@ -339,7 +325,7 @@ def _package(u, w, res, iters, model, masses, grid, history,
     act = targets > 0
     dq = h * np.sum(np.abs(ul[act]) ** 2, axis=1) - targets[act]
     lam = float(np.sum(kin) - np.sum(inter) / model.p + np.sum(w[act] * dq))
-    gs = GroundState(
+    return GroundState(
         profile=State.from_array(grid, u),
         multipliers=Multipliers(*map(float, w)),
         lam=lam,
@@ -348,22 +334,17 @@ def _package(u, w, res, iters, model, masses, grid, history,
         masses_achieved=MassTriple(*map(float, achieved)),
         energy_history=tuple(history),
     )
-    if validate and not lam < 0:
-        raise ConvergenceError(
-            f"converged to non-negative energy {lam:.3e}; not a minimizer",
-            last=gs)
-    return gs
 
 
-def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
-                       max_sweeps: int = 600) -> GroundState:
+def refine_fixed_point(state: State, model: CouplingModel,
+                       masses: MassTriple) -> GroundState:
     """Polish a near-solution by Green-kernel fixed-point sweeps.
 
     Each sweep applies u_j <- (k^2 + w_j)^{-1} N_j(u) spectrally,
     renormalizes the constrained masses and re-extracts the multipliers,
     until the residual is below `_residual_target(grid, 1e-11)`.  Raises
     `DivergenceError` when a multiplier is not positive (a non-finite iterate
-    included) or after `max_sweeps` sweeps.
+    included) or after `_MAX_SWEEPS` sweeps.
     """
     grid = state.grid
     targets = masses.as_array()
@@ -372,7 +353,7 @@ def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
     target = _residual_target(grid, 1e-11)
     u = _project(state.stack(), targets, grid.spacing)
     w, res = _multiplier_array(u, grid, model), np.inf
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w[active] > 0):
             raise DivergenceError(f"multiplier {w} not positive during refinement")
         N = _nonlinearity(u, model.a, model.p)
@@ -381,9 +362,8 @@ def refine_fixed_point(state: State, model: CouplingModel, masses: MassTriple,
         w = _multiplier_array(u, grid, model)
         res = _el_residual_array(u, w, grid, model)[0]
         if res < target:
-            return _package(u, w, res, sweeps, model, masses, grid, [],
-                            validate=False)
-    raise DivergenceError(f"no fixed-point convergence in {max_sweeps} sweeps "
+            return _package(u, w, res, sweeps, model, masses, grid, [])
+    raise DivergenceError(f"no fixed-point convergence in {_MAX_SWEEPS} sweeps "
                           f"(residual {res:.3e}, target {target:.1e})")
 
 

@@ -269,16 +269,14 @@ def two_component_profile(omega: float, beta: float, grid: Grid):
 
 
 def apply_symmetry(state: State, shift: float = 0.0, boost: float = 0.0,
-                   phases=(0.0, 0.0, 0.0), time: float = 0.0) -> State:
-    """Apply the symmetry group:  u_j -> e^{-i boost^2 t + i boost x + i b_j} u_j(x - shift).
+                   phases=(0.0, 0.0, 0.0)) -> State:
+    """Apply the symmetry group at t = 0:  u_j -> e^{i boost x + i b_j} u_j(x - shift).
 
     Whole-grid-step shifts are exact permutations; other shifts use spectral
-    interpolation.  `time` enters only through the documented phase convention
-    of the travelling-wave ansatz.
+    interpolation.
     """
     grid = state.grid
-    x = grid.nodes
-    gal = np.exp(1j * (boost * x - boost ** 2 * time))
+    gal = np.exp(1j * (boost * grid.nodes))
     out = []
     for f, beta in zip((state.u1, state.u2, state.u3), phases):
         g = translate(f, shift) if shift != 0.0 else f

@@ -1,6 +1,7 @@
 """CLI contracts: config validation, file formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -38,15 +39,14 @@ seed = 0
 """
 
 
-# every schema key but solver.init_profile, which needs init = supplied
+# every schema key but solver.init_profile, which needs a profile file
 FULL_CFG = {
     "grid": {"n": "256", "length": "40.0"},
     "coupling": {k: "1.0" for k in ("a11", "a12", "a13", "a22", "a23", "a33")}
     | {"p": "2.0"},
     "masses": {"r": "1.0", "s": "1.0", "t": "1.0"},
     "solver": {"tau": "1.0", "max_iters": "50", "residual_tol": "5e-12",
-               "energy_tol": "1e-12", "seed": "0", "init": "gaussian_bumps",
-               "scheme": "preconditioned", "noise": "0.0"},
+               "seed": "0", "scheme": "preconditioned", "noise": "0.0"},
     "evolution": {"t": "1.0", "dt": "1e-3", "snapshot_every": "0"},
     "stability": {"kind": "mass_preserving_random", "delta": "1e-3",
                   "eps": "0.02", "seeds": "0,1", "sample_every": "100"},
@@ -125,7 +125,8 @@ class TestConfigValidation:
         ("solver.max_iters", BASE.replace("seed = 0", "seed = 0\nmax_iters = 0")),
         ("solver.init_profile", BASE.replace("seed = 0",
                                              "seed = 0\ninit_profile = x.csv")),
-        ("solver.init_profile", BASE.replace("seed = 0", "seed = 0\ninit = supplied")),
+        # blank: read as a path (the working directory), not as "no profile"
+        ("solver.init_profile", BASE.replace("seed = 0", "seed = 0\ninit_profile =")),
         ("evolution.t", BASE + "\n[evolution]\nt = 1e300\ndt = 1e-3\n"),
         pytest.param("evolution.dt", BASE + "\n[evolution]\nt = 1.0\n",
                      id="evolution.dt-missing"),
@@ -224,6 +225,52 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    def test_solver_schema_matches_config_fields(self):
+        # a SolverConfig field without a [solver] key, a key without a field,
+        # or a default that differs fails here; init_profile is read into
+        # initial_state
+        fields = {f.name: f.default for f in dataclasses.fields(t.SolverConfig)}
+        fields["init_profile"] = fields.pop("initial_state")
+        rows = _SCHEMA["solver"][1]
+        assert set(rows) == set(fields)
+        assert {key: default for key, (_, default, _) in rows.items()} == fields
+
+    def test_noise_with_init_profile_rejected(self, tmp_path, capsys):
+        # noise seeds only the gaussian start: with a profile start it would
+        # be accepted and ignored
+        grid = t.make_grid(512, 40.0)
+        u = np.zeros((3, 512), dtype=complex)
+        u[0] = np.exp(-grid.nodes ** 2)
+        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
+        cfg = write_config(tmp_path, BASE.replace(
+            "seed = 0", f"seed = 0\nnoise = 0.1\ninit_profile = {tmp_path / 'p.csv'}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: solver.noise" in capsys.readouterr().err
+
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 2**40 nodes: numpy refuses the 8 TiB node array at once
+        cfg = write_config(tmp_path, BASE.replace("n = 512", f"n = {2 ** 40}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: grid: ")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("route", ["--out", "output.dir", "validate"])
+    def test_output_path_through_file(self, tmp_path, capsys, route, below):
+        # an output directory that is an existing file, or lies below one
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        if route == "validate":
+            argv = ["validate", "--out", str(out)]
+        elif route == "--out":
+            argv = ["solve", "--config", write_config(tmp_path), "--out", str(out)]
+        else:
+            argv = ["solve", "--config",
+                    write_config(tmp_path, BASE + f"\n[output]\ndir = {out}\n")]
+        assert main(argv + ["--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}")
+
 
 class TestSolve:
     def test_single_component_preset(self, tmp_path):
@@ -310,7 +357,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(first), "--quiet"]) == 0
         resume = BASE.replace(
             "seed = 0",
-            f"seed = 0\ninit = supplied\ninit_profile = {first / 'profile.csv'}")
+            f"seed = 0\ninit_profile = {first / 'profile.csv'}")
         cfg2 = write_config(tmp_path, resume, name="resume.ini")
         out = tmp_path / "second"
         assert main(["solve", "--config", cfg2, "--out", str(out), "--quiet"]) == 0
@@ -320,7 +367,7 @@ class TestSolve:
     def test_supplied_init_missing_file(self, tmp_path, capsys):
         broken = BASE.replace(
             "seed = 0",
-            f"seed = 0\ninit = supplied\ninit_profile = {tmp_path / 'gone.csv'}")
+            f"seed = 0\ninit_profile = {tmp_path / 'gone.csv'}")
         cfg = write_config(tmp_path, broken, name="broken.ini")
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -330,7 +377,7 @@ class TestSolve:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\n1,2,abc,4,5,6,7\n")
         text = BASE.replace(
-            "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {bad}")
+            "seed = 0", f"seed = 0\ninit_profile = {bad}")
         cfg = write_config(tmp_path, text, name="malformed.ini")
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -343,7 +390,7 @@ class TestSolve:
         u[0] = np.exp(-grid.nodes ** 2)
         write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
         text = BASE.replace("s = 0.0", "s = 1.0").replace(
-            "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {tmp_path / 'p.csv'}")
+            "seed = 0", f"seed = 0\ninit_profile = {tmp_path / 'p.csv'}")
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -438,7 +485,7 @@ class TestEvolve:
             argv = ["evolve", "--config", cfg, "--profile", str(path)]
         else:
             cfg = write_config(tmp_path, BASE.replace(
-                "seed = 0", f"seed = 0\ninit = supplied\ninit_profile = {path}"))
+                "seed = 0", f"seed = 0\ninit_profile = {path}"))
             argv = ["solve", "--config", cfg]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. numpy's "input contained no data"

@@ -71,8 +71,7 @@ def test_minimize_properties(case):
     achieved = np.array([gs.masses_achieved.r, gs.masses_achieved.s,
                          gs.masses_achieved.t])
     assert np.all(np.abs(achieved - targets) <= TOLS.projection_rel * targets)
-    slack = TOLS.energy_monotone_factor * cfg.energy_tol
-    assert np.all(np.diff(gs.energy_history) <= slack)
+    assert np.all(np.diff(gs.energy_history) <= TOLS.energy_monotone_slack)
     assert gs.iterations <= 40
 
 
