@@ -8,8 +8,9 @@ Subcommands
     validate   built-in closed-form oracle checks; exit 0 iff all pass
 
 Config files are INI-style key = value text, read strictly against one
-schema table (`_SCHEMA`): unknown sections or keys are rejected, physics
-parameters have no defaults, solver knobs do, floats must be finite, and
+schema table (`_SCHEMA`) that only converts: unknown sections or keys are
+rejected, physics parameters have no defaults, solver knobs do, floats must
+be finite.  The code that takes a value checks its range, at load time, and
 every error names its section.key.  Accepted values (see README):
 
     [grid]      n (power of two >= 16), length > 0
@@ -18,11 +19,11 @@ every error names its section.key.  Accepted values (see README):
     [solver]    tau > 0, max_iters >= 1, residual_tol > 0, seed >= 0,
                 init_profile (a profile file to start from), scheme,
                 noise >= 0 (0 with init_profile)           (all optional)
-    [evolution] t >= 0, dt != 0 (t / |dt| steps at most sys.maxsize),
+    [evolution] t >= 0, dt != 0 (t / |dt| steps fit a Python index),
                 snapshot_every >= 0
     [stability] kind, delta >= 0, eps > 0, seeds (distinct) >= 0,
                 sample_every > 0
-    [subadd]    splits        e.g.  splits = 2,0,0 ; 1,0.5,0
+    [subadd]    splits, each within [masses]   e.g.  splits = 2,0,0 ; 1,0.5,0
     [output]    dir                                        (optional)
 
 Every ground state is one `minimize` call: it starts from init_profile when
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .evolution import BlowUpError, evolve
+from .evolution import BlowUpError, check_evolve_args, evolve
 from .ground_state import (ConvergenceError, GroundState, SolverConfig,
                            _project, minimize, refine_fixed_point,
                            subadditivity_check)
@@ -62,7 +63,7 @@ from .model import (SINGLE_COMPONENT_BOXES, CouplingModel, MassTriple,
                     Multipliers, State, el_residual, gradient_fd_error,
                     sech_profile, single_component_minimum)
 from .spectral import Field, Grid, make_grid
-from .stability import PERTURBATION_KINDS, stability_experiment
+from .stability import check_stability_args, stability_experiment
 from .tolerances import DEFAULT as TOLS
 
 
@@ -78,7 +79,7 @@ class RunConfig:
     solver: SolverConfig
     evolution: Optional[dict]
     stability: Optional[dict]
-    subadd_splits: Optional[tuple]
+    subadd_splits: Optional[tuple]   # (split, part 1, part 2) per split
     out_dir: str
 
 
@@ -96,54 +97,40 @@ def _splits(raw: str) -> tuple:
 
 def _ints(raw: str) -> tuple:
     values = tuple(int(x) for x in raw.split(","))
-    if len(set(values)) < len(values):
-        raise ValueError(f"{raw!r} repeats a seed")
+    if min(values) < 0 or len(set(values)) < len(values):
+        raise ValueError(f"{raw!r} has a seed < 0 or repeats one")
     return values
 
 
-# Range rules: (text for the error message, test of one value; a tuple
-# value passes when every entry does).
-_GE0 = (">= 0", lambda v: v >= 0)
-_GT0 = ("> 0", lambda v: v > 0)
-_NE0 = ("!= 0", lambda v: v != 0)
-_KIND = ("one of " + ", ".join(PERTURBATION_KINDS), PERTURBATION_KINDS.__contains__)
-_SOLVER = SolverConfig()
-
-# section -> (section required, {key -> (converter, default, range rule)});
-# a `...` default marks a required key.  The solver rows carry converters
-# and SolverConfig's defaults only, since SolverConfig checks its own
-# fields; make_grid, CouplingModel and MassTriple check grid, coupling and
-# masses.
+# section -> (section required, {key -> (converter, default)}); a `...`
+# default marks a required key.  The rows only convert: the code taking a
+# value checks its range (see load_config).  Solver defaults are SolverConfig's.
 _SCHEMA = {
-    "grid": (True, {"n": (int, ..., None), "length": (float, ..., None)}),
-    "coupling": (True, {k: (float, ..., None) for k in
+    "grid": (True, {"n": (int, ...), "length": (float, ...)}),
+    "coupling": (True, {k: (float, ...) for k in
                         ("a11", "a12", "a13", "a22", "a23", "a33", "p")}),
-    "masses": (True, {k: (float, ..., None) for k in ("r", "s", "t")}),
-    "solver": (False, {k: (conv, getattr(_SOLVER, k, None), None) for k, conv in (
+    "masses": (True, {k: (float, ...) for k in ("r", "s", "t")}),
+    "solver": (False, {k: (conv, getattr(SolverConfig, k, None)) for k, conv in (
         ("tau", float), ("max_iters", int), ("residual_tol", float), ("seed", int),
         ("init_profile", str), ("scheme", str), ("noise", float))}),
-    "evolution": (False, {"t": (float, ..., _GE0), "dt": (float, ..., _NE0),
-                          "snapshot_every": (int, 0, _GE0)}),
-    "stability": (False, {
-        "kind": (str, "mass_preserving_random", _KIND),
-        "delta": (float, ..., _GE0),
-        "eps": (float, None, _GT0),
-        "seeds": (_ints, (0,), _GE0),
-        "sample_every": (int, 100, _GT0)}),
-    "subadd": (False, {"splits": (_splits, ..., None)}),
-    "output": (False, {"dir": (str, "out", None)}),
+    "evolution": (False, {"t": (float, ...), "dt": (float, ...),
+                          "snapshot_every": (int, 0)}),
+    "stability": (False, {"kind": (str, "mass_preserving_random"),
+                          "delta": (float, ...), "eps": (float, None),
+                          "seeds": (_ints, (0,)), "sample_every": (int, 100)}),
+    "subadd": (False, {"splits": (_splits, ...)}),
+    "output": (False, {"dir": (str, "out")}),
 }
 
 
 def _read_section(name: str, raw) -> dict:
-    """The schema pass: `raw` (key -> text) as key -> checked value, with
-    defaults filled in."""
+    """The schema pass: `raw` (key -> text) as key -> value, defaults filled in."""
     rows = _SCHEMA[name][1]
     for key in raw:
         if key not in rows:
             raise ConfigError(f"unknown key {name}.{key}")
     values = {}
-    for key, (conv, default, rule) in rows.items():
+    for key, (conv, default) in rows.items():
         what, text = f"{name}.{key}", raw.get(key)
         if text is None:
             if default is ...:
@@ -156,20 +143,27 @@ def _read_section(name: str, raw) -> dict:
             raise ConfigError(f"invalid value for {what}: {err}") from err
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"invalid value for {what}: {text!r} is not finite")
-        items = value if isinstance(value, tuple) else (value,)
-        if rule and not all(map(rule[1], items)):
-            raise ConfigError(f"invalid value for {what}: {text!r} (must be {rule[0]})")
         values[key] = value
     return values
 
 
 def _build(prefix: str, factory, **kwargs):
     """factory(**kwargs); its ValueError, or MemoryError (a grid too large to
-    allocate), becomes a ConfigError that starts with `prefix` (the section)."""
+    allocate), becomes a ConfigError that starts with `prefix` (what was built)."""
     try:
         return factory(**kwargs)
     except (ValueError, MemoryError) as err:
         raise ConfigError(f"{prefix}{err}") from err
+
+
+def _split_parts(split: tuple, total: MassTriple) -> tuple:
+    """(split, part 1, part 2) of a [subadd] split: part 1 is the split itself."""
+    rest = (total.r - split[0], total.s - split[1], total.t - split[2])
+    # the slack absorbs round-off, not mass on a component the total lacks
+    if min(rest) < -1e-12 or any(
+            s > 0 and m == 0 for s, m in zip(split, total.as_array())):
+        raise ValueError("exceeds total masses")
+    return split, MassTriple(*split), MassTriple(*(max(v, 0.0) for v in rest))
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
@@ -204,6 +198,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     grid = _build("grid: ", make_grid, **sec["grid"])
     model = _build("coupling: ", CouplingModel, a=a, p=c["p"])
     masses = _build("masses: ", MassTriple, **sec["masses"])
+    splits = sec["subadd"] and tuple(
+        _build(f"invalid split {s}: ", _split_parts, split=s, total=masses)
+        for s in sec["subadd"]["splits"])
 
     knobs = sec["solver"]
     profile = knobs.pop("init_profile")
@@ -220,25 +217,20 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         if sec["stability"] is not None:
             sec["stability"]["seeds"] = (seed_override,)
     solver = _build("solver.", SolverConfig, **knobs)
-
-    ev = sec["evolution"]
-    if ev is not None and ev["t"] / abs(ev["dt"]) > sys.maxsize:
-        raise ConfigError(f"invalid value for evolution.t: {ev['t']!r} is more "
-                          f"than sys.maxsize steps of |dt| = {abs(ev['dt'])!r}")
+    if sec["evolution"] is not None:
+        _build("evolution.", check_evolve_args, **sec["evolution"])
+    if sec["stability"] is not None:  # every key but seeds is an argument
+        _build("stability.", check_stability_args, **{
+            k: v for k, v in sec["stability"].items() if k != "seeds"})
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
-                     evolution=ev, stability=sec["stability"],
-                     subadd_splits=sec["subadd"] and sec["subadd"]["splits"],
-                     out_dir=sec["output"]["dir"])
+                     evolution=sec["evolution"], stability=sec["stability"],
+                     subadd_splits=splits, out_dir=sec["output"]["dir"])
 
 
 # ---------------------------------------------------------------------------
 # writers / readers
 # ---------------------------------------------------------------------------
-
-def _json_float(x: float):
-    return None if (x is None or math.isnan(x)) else float(x)
-
 
 def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -300,7 +292,7 @@ def write_groundstate_json(path: Path, gs: GroundState, model: CouplingModel) ->
     w = gs.multipliers.as_array()
     write_json(path, {
         "lambda": gs.lam,
-        "omega": [_json_float(x) for x in w],
+        "omega": [None if math.isnan(x) else float(x) for x in w],
         "residual": gs.residual,
         "iterations": gs.iterations,
         "masses": [gs.masses_achieved.r, gs.masses_achieved.s, gs.masses_achieved.t],
@@ -396,22 +388,9 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.subadd_splits is None:
         raise ConfigError("[subadd] section required for subadd")
-    total = cfg.masses
-    parts = []
-    for split in cfg.subadd_splits:
-        rest = (total.r - split[0], total.s - split[1], total.t - split[2])
-        # the slack absorbs round-off, not mass on a component the total lacks
-        if min(rest) < -1e-12 or any(
-                s > 0 and m == 0 for s, m in zip(split, total.as_array())):
-            raise ConfigError(f"split {split} exceeds total masses")
-        try:
-            parts.append((MassTriple(*split),
-                          MassTriple(*(max(v, 0.0) for v in rest))))
-        except ValueError as err:
-            raise ConfigError(f"invalid split {split}: {err}") from err
-    lam_total = minimize(cfg.model, total, cfg.grid, cfg.solver).lam
+    lam_total = minimize(cfg.model, cfg.masses, cfg.grid, cfg.solver).lam
     rows = []
-    for split, (part1, part2) in zip(cfg.subadd_splits, parts):
+    for split, part1, part2 in cfg.subadd_splits:
         try:
             res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
                                       cfg.solver, lam_total=lam_total)

@@ -28,6 +28,7 @@ stable; accuracy requires dt well below 1/max(k^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,8 +106,21 @@ def _strang(v: np.ndarray, half: np.ndarray, dt: float, model: CouplingModel,
     return np.multiply(fft(v, axis=-1), half, out=out), peak
 
 
+def check_evolve_args(t: float, dt: float, snapshot_every: int = 0,
+                      record_every: int = 1) -> None:
+    """Raise ValueError, led by its name, for the first argument out of range."""
+    for name, value, ok, rule in (
+            ("dt", dt, math.isfinite(dt) and dt != 0, "finite and non-zero"),
+            ("t", t, 0 <= t <= sys.maxsize * abs(dt), "in [0, sys.maxsize * |dt|]"),
+            ("snapshot_every", snapshot_every, snapshot_every >= 0, ">= 0"),
+            ("record_every", record_every, record_every > 0, "> 0")):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def step(state: State, dt: float, model: CouplingModel) -> State:
-    """One Strang step of size dt (dt < 0 integrates backwards)."""
+    """One Strang step of size dt, finite and != 0 (else ValueError); < 0 goes back."""
+    check_evolve_args(0.0, dt)
     grid = state.grid
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     u = state.stack()
@@ -148,13 +162,9 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     non-finite value, which flags exactly the first non-finite state, and
     every recorded step its energy, which can overflow first (p > 2); either
     raises BlowUpError there with the trace of the rows recorded before it.
+    ValueError: an argument out of range (`check_evolve_args`, which calls T t).
     """
-    if dt == 0:
-        raise ValueError("dt must be non-zero")
-    if T < 0:
-        raise ValueError("T must be non-negative; use dt < 0 to go backwards")
-    if record_every <= 0:
-        raise ValueError("record_every must be positive")
+    check_evolve_args(T, dt, snapshot_every, record_every)
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
     recorded = list(range(0, nsteps + 1, record_every))

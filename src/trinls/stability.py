@@ -37,6 +37,18 @@ from .tolerances import DEFAULT as TOLS
 PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
 
 
+def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
+                         sample_every: int = 1) -> None:
+    """Raise ValueError, led by its name, for the first argument out of range."""
+    for name, value, ok, rule in (
+            ("kind", kind, kind in PERTURBATION_KINDS, f"one of {PERTURBATION_KINDS}"),
+            ("delta", delta, 0 <= delta < np.inf, "finite and >= 0"),
+            ("eps", eps, eps is None or 0 < eps < np.inf, "finite and > 0 when given"),
+            ("sample_every", sample_every, sample_every > 0, "> 0")):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of one perturb-evolve-measure run.
@@ -137,11 +149,9 @@ def perturb(state: State, kind: str, amplitude: float, seed: int = 0) -> State:
     (same, then each component is renormalized so its mass matches `state`
     exactly), "component_tilt" (mass exchange direction along the profile
     shapes; deterministic).  amplitude 0 returns the state unchanged.
+    ValueError: an unknown kind, or an amplitude not finite and >= 0 (as delta).
     """
-    if kind not in PERTURBATION_KINDS:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
+    check_stability_args(kind, amplitude)
     if amplitude == 0.0:
         return state
     grid = state.grid
@@ -188,9 +198,9 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     the sampled times (t = 0, every `sample_every` steps and the last step),
     has orbital_distance filled there and snapshots dropped.  A blow-up during
     evolution yields verdict "blow_up" with the partial trajectory.
+    ValueError: an argument out of range (`check_stability_args`, `evolve`).
     """
-    if sample_every <= 0:
-        raise ValueError("sample_every must be positive")
+    check_stability_args(kind, delta, eps, sample_every)
     if eps is None:
         eps = 20.0 * delta if delta > 0 else TOLS.stability_control
     initial = perturb(ground.profile, kind, delta, seed)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import warnings
@@ -14,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 import trinls as t
 from trinls.cli import (_BLOCK, _SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
                         load_config, main, read_profile_csv, write_profile_csv)
+from trinls.evolution import check_evolve_args
+from trinls.stability import check_stability_args
 
 BASE = """\
 [grid]
@@ -233,7 +236,16 @@ class TestConfigValidation:
         fields["init_profile"] = fields.pop("initial_state")
         rows = _SCHEMA["solver"][1]
         assert set(rows) == set(fields)
-        assert {key: default for key, (_, default, _) in rows.items()} == fields
+        assert {key: default for key, (_, default) in rows.items()} == fields
+
+    @pytest.mark.parametrize("section, check", [
+        ("evolution", check_evolve_args), ("stability", check_stability_args)])
+    def test_run_sections_have_one_owner(self, section, check):
+        # every [evolution] and [stability] key but the seed list is an
+        # argument of the library check that owns its range: a key added
+        # without a rule fails here
+        params = set(inspect.signature(check).parameters)
+        assert set(_SCHEMA[section][1]) - {"seeds"} <= params
 
     def test_noise_with_init_profile_rejected(self, tmp_path, capsys):
         # noise seeds only the gaussian start: with a profile start it would
@@ -342,7 +354,7 @@ class TestSolve:
     @pytest.mark.parametrize("command, extra", [
         ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n"
          "\n[stability]\ndelta = 1e-3\n"),
-        ("subadd", "\n[subadd]\nsplits = 2,0,0\n")])
+        ("subadd", "\n[subadd]\nsplits = 2,0,0\n")], ids=["stability", "subadd"])
     def test_nonconvergence_exit_code_every_command(self, tmp_path, capsys,
                                                     command, extra):
         cfg = write_config(tmp_path, BASE.replace(
@@ -601,6 +613,17 @@ class TestSubadd:
             assert main(["subadd", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--quiet"]) == 1
             assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "subadd"])
+    def test_splits_judged_at_load(self, tmp_path, capsys, command):
+        # a bad split fails every command at load time, before any solve
+        cfg = write_config(tmp_path, BASE + "\n[subadd]\nsplits = 9,0,0\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid split (9.0, 0.0, 0.0): ")
+        assert "exceeds total masses" in err
+        assert not (tmp_path / "o").exists()
 
     def test_split_taking_all_mass_rejected(self, tmp_path, capsys):
         # the remainder 0,0,0 carries no mass: not a valid second part

@@ -482,3 +482,29 @@ class TestBlowUpGuard:
     def test_rejects_zero_dt(self, gs_equal, model_ones):
         with pytest.raises(ValueError):
             t.evolve(gs_equal.profile, 1.0, 0.0, model_ones)
+
+
+class TestArgumentCheck:
+    """`evolve` and `step` reject what the config loader rejects, each
+    message led by the argument's name (evolve's T is t there)."""
+
+    def test_step_rejects_zero_dt(self, gs_equal, model_ones):
+        # not the input returned unchanged
+        with pytest.raises(ValueError, match="^dt must be finite and non-zero"):
+            t.step(gs_equal.profile, 0.0, model_ones)
+
+    def test_negative_snapshot_every(self, gs_equal, model_ones):
+        # not a run that silently stores no snapshots
+        with pytest.raises(ValueError, match="^snapshot_every must be >= 0"):
+            t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, snapshot_every=-1)
+
+    @pytest.mark.parametrize("T", [float("inf"), 1e300, float("nan"), -1.0])
+    def test_duration_out_of_range(self, gs_equal, model_ones, T):
+        # T = inf is a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match=r"^t must be in \[0, sys.maxsize"):
+            t.evolve(gs_equal.profile, T, 1e-3, model_ones)
+
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan"), -0.0])
+    def test_dt_not_finite_or_zero(self, gs_equal, model_ones, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and non-zero"):
+            t.evolve(gs_equal.profile, 0.01, dt, model_ones)

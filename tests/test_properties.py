@@ -6,17 +6,20 @@ active components, and masses drawn through a target frequency omega in
 [0.3, 2] (the mass of the one-component sech ground state at that
 frequency, shared unevenly over the active components), which keeps the
 ground state resolved on n = 256, L = 40.  `evolve` starts from smooth
-random states on the same grid.
+random states on the same grid.  The argument checks of `evolve` and
+`stability_experiment` get one drawn value in an otherwise valid call.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import trinls as t
+from trinls.evolution import check_evolve_args
 from trinls.ground_state import _residual_target
-from trinls.stability import _y_norm
+from trinls.stability import PERTURBATION_KINDS, _y_norm, check_stability_args
 from trinls.tolerances import DEFAULT as TOLS
 
 GRID = t.make_grid(256, 40.0)
@@ -97,3 +100,86 @@ def test_evolve_properties(case, steps):
     for _ in range(steps):
         manual = t.step(manual, dt, model)
     assert _y_norm(short.snapshots[-1][1].stack() - manual.stack(), GRID) <= 1e-13
+
+
+FLOATS = st.floats()   # NaN and +-inf included
+INTS = st.integers()
+MODEL = t.CouplingModel(np.ones((3, 3)), 2.0)
+# argument -> (valid base value, strategy of drawn values)
+EVOLVE_ARGS = {"T": (5e-3, FLOATS), "dt": (1e-3, FLOATS),
+               "snapshot_every": (0, INTS), "record_every": (1, INTS)}
+STABILITY_ARGS = {
+    "kind": ("mass_preserving_random",
+             st.sampled_from(PERTURBATION_KINDS) | st.text(max_size=8)),
+    "delta": (1e-3, FLOATS), "eps": (None, st.none() | FLOATS),
+    "sample_every": (2, INTS)}
+
+
+@st.composite
+def one_drawn(draw, args):
+    """(name, kwargs): every argument at its base value but one drawn."""
+    name = draw(st.sampled_from(sorted(args)))
+    kwargs = {k: base for k, (base, _) in args.items()}
+    kwargs[name] = draw(args[name][1])
+    return name, kwargs
+
+
+def led_by(err, name):
+    """The message starts with the name of the drawn argument: evolve's T is
+    t there, and t's step-count rule reads dt, so a drawn dt may name t."""
+    names = {"T": ("t",), "dt": ("dt", "t")}.get(name, (name,))
+    return str(err).startswith(tuple(f"{n} " for n in names))
+
+
+@pytest.fixture(scope="module")
+def ground():
+    return t.minimize(MODEL, t.MassTriple(4 / 3, 4 / 3, 4 / 3), GRID)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(one_drawn(EVOLVE_ARGS))
+@example(("T", dict(T=math.inf, dt=1e-3, snapshot_every=0, record_every=1)))
+@example(("snapshot_every", dict(T=5e-3, dt=1e-3, snapshot_every=-1,
+                                 record_every=1)))
+def test_evolve_runs_or_names_argument(case):
+    """A drawn value either runs (at most 10 steps) or raises the ValueError
+    of `check_evolve_args`, led by the argument's name, before any step."""
+    name, kw = case
+    state = t.State.from_array(GRID, np.exp(-GRID.nodes ** 2) * np.ones((3, 1)))
+    try:
+        check_evolve_args(kw["T"], kw["dt"], kw["snapshot_every"], kw["record_every"])
+    except ValueError as err:
+        assert led_by(err, name), err
+        with pytest.raises(ValueError) as raised:
+            t.evolve(state, model=MODEL, **kw)
+        assert str(raised.value) == str(err)
+        return
+    assume(kw["T"] / abs(kw["dt"]) <= 10)
+    with np.errstate(all="ignore"):  # |dt| near the float range overflows k^2 dt
+        trace = t.evolve(state, model=MODEL, **kw)
+    assert trace.times[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=one_drawn(STABILITY_ARGS))
+@example(case=("eps", dict(kind="random_h1", delta=1e-3, eps=-1.0, sample_every=2)))
+@example(case=("eps", dict(kind="random_h1", delta=1e-3, eps=math.nan,
+                           sample_every=2)))
+@example(case=("delta", dict(kind="random_h1", delta=math.inf, eps=None,
+                             sample_every=2)))
+def test_stability_runs_or_names_argument(ground, case):
+    """A drawn value either gives a report (4 steps) or raises the
+    ValueError of `check_stability_args`, led by the argument's name."""
+    name, kw = case
+    try:
+        check_stability_args(**kw)
+    except ValueError as err:
+        assert led_by(err, name), err
+        with pytest.raises(ValueError) as raised:
+            t.stability_experiment(ground, MODEL, T=4e-3, dt=1e-3, **kw)
+        assert str(raised.value) == str(err)
+        return
+    with np.errstate(all="ignore"):  # a huge delta may blow up
+        rep = t.stability_experiment(ground, MODEL, T=4e-3, dt=1e-3, **kw)
+    assert rep.verdict in ("bounded", "escaped", "blow_up")
+    assert kw["eps"] is None or rep.eps == kw["eps"]

@@ -200,8 +200,14 @@ class TestPerturb:
         assert m1[0] > m0[0] and m1[1] < m0[1]
 
     def test_unknown_kind(self, gs_equal):
-        with pytest.raises(ValueError, match="unknown perturbation"):
+        with pytest.raises(ValueError, match="^kind must be one of"):
             t.perturb(gs_equal.profile, "nope", 1e-3)
+
+    @pytest.mark.parametrize("amplitude", [-1e-3, float("nan"), float("inf")])
+    def test_amplitude_out_of_range(self, gs_equal, amplitude):
+        # inf fails here, not later as "field contains non-finite samples"
+        with pytest.raises(ValueError, match="^delta must be finite and >= 0"):
+            t.perturb(gs_equal.profile, "random_h1", amplitude)
 
 
 class TestExperiment:
@@ -252,6 +258,14 @@ class TestExperiment:
             rep = t.stability_experiment(fake, model, "random_h1", 0.0,
                                          T=0.5, dt=1e-3, sample_every=100)
         assert rep.verdict == "blow_up"
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_eps_out_of_range(self, gs_equal, model_ones, eps):
+        # a negative or NaN threshold would read "escaped" and an infinite
+        # one "bounded", whatever the distance
+        with pytest.raises(ValueError, match="^eps must be finite and > 0"):
+            t.stability_experiment(gs_equal, model_ones, "mass_preserving_random",
+                                   1e-3, T=0.01, dt=1e-3, sample_every=5, eps=eps)
 
     @pytest.mark.parametrize("d, flag", [
         ([1, 2, 10, 8, 3, 2, 2, 2, 2, 2], True),
