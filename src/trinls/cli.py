@@ -178,9 +178,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     for name in parser.sections():
         if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
-    if seed_override is not None and seed_override < 0:
-        raise ConfigError(f"invalid value for --seed: {seed_override} (must be >= 0)")
-
     sec = {}
     for name, (required, rows) in _SCHEMA.items():
         # an absent section whose keys all have defaults reads as empty
@@ -212,8 +209,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         except (OSError, ValueError) as err:
             raise ConfigError(
                 f"cannot use solver.init_profile {profile!r}: {err}") from err
-    if seed_override is not None:
-        knobs["seed"] = seed_override
+    if seed_override is not None:  # the seed rule is SolverConfig's
+        knobs["seed"] = _build("invalid value for --seed: ", SolverConfig,
+                               seed=seed_override).seed
         if sec["stability"] is not None:
             sec["stability"]["seeds"] = (seed_override,)
     solver = _build("solver.", SolverConfig, **knobs)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -108,11 +109,16 @@ def _strang(v: np.ndarray, half: np.ndarray, dt: float, model: CouplingModel,
 
 def check_evolve_args(t: float, dt: float, snapshot_every: int = 0,
                       record_every: int = 1) -> None:
-    """Raise ValueError, led by its name, for the first argument out of range."""
+    """Raise ValueError, led by its name, for the first argument out of range
+    or, for a step count, not an integer."""
     for name, value, ok, rule in (
             ("dt", dt, math.isfinite(dt) and dt != 0, "finite and non-zero"),
             ("t", t, 0 <= t <= sys.maxsize * abs(dt), "in [0, sys.maxsize * |dt|]"),
+            ("snapshot_every", snapshot_every, isinstance(snapshot_every, Integral),
+             "an integer"),
             ("snapshot_every", snapshot_every, snapshot_every >= 0, ">= 0"),
+            ("record_every", record_every, isinstance(record_every, Integral),
+             "an integer"),
             ("record_every", record_every, record_every > 0, "> 0")):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -135,7 +141,8 @@ def _record(u, uh, grid: Grid, model: CouplingModel):
     mod = np.abs(u)
     mod2 = mod ** 2
     mod_p = mod2 if model.p == 2.0 else mod ** model.p
-    return grid.spacing * np.sum(mod2, axis=1), _energy_array(u, grid, model, uh, mod_p)
+    return (grid.spacing * np.sum(mod2, axis=1),
+            _energy_array(u, grid, model.a, model.p, uh, mod_p))
 
 
 def _trace(times, masses, energies, snaps) -> EvolutionTrace:
@@ -162,7 +169,8 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     non-finite value, which flags exactly the first non-finite state, and
     every recorded step its energy, which can overflow first (p > 2); either
     raises BlowUpError there with the trace of the rows recorded before it.
-    ValueError: an argument out of range (`check_evolve_args`, which calls T t).
+    ValueError: an argument out of range or a step count not an integer
+    (`check_evolve_args`, which calls T t).
     """
     check_evolve_args(T, dt, snapshot_every, record_every)
     grid = state0.grid

@@ -27,6 +27,12 @@ Two flow schemes are provided:
     of the von Neumann limit 2 / max(k^2), never mixed.  Kept as a
     cross-check; it needs O(1e5) iterations at production resolution.
 
+The flow, the polish and lambda work on the live components only, those
+with positive target mass: a (k, n) array of their rows, with the k x k
+coupling block a[live, live].  The three components are formed once, when
+the `GroundState` is packaged; a zero-mass one is an exact +0.0 row with a
+NaN multiplier and achieved mass 0.0.
+
 Every `GroundState` reports lambda = H(u) + sum_j w_j (Q_j(u) - m_j) in
 extended precision, rounded once: the minimum value at the masses m, with the
 mass error of the projection's rounding corrected to first order, so lambda
@@ -117,7 +123,9 @@ class GroundState:
     """Converged minimizer: profile, multipliers, the minimum value lam at
     the prescribed masses (it can differ from `energy(profile)` by a few
     ulp), Euler-Lagrange residual, iteration count, achieved masses, and the
-    energy history of the run (diagnostic)."""
+    energy history of the run (diagnostic).  The solvers ran on the
+    components with positive mass only; each zero-mass one is an exact
+    +0.0 row of the profile, with a NaN multiplier and achieved mass 0.0."""
 
     profile: State
     multipliers: Multipliers
@@ -165,7 +173,8 @@ _MAX_SWEEPS = 600  # polish sweeps before `refine_fixed_point` gives up
 
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
-    """Exact projection onto the mass constraints: per-component rescale."""
+    """Exact projection onto the mass constraints: each row of u rescaled to
+    its entry of `targets`, or zeroed where that is 0."""
     m = h * np.sum(np.abs(u) ** 2, axis=1)
     active = targets > 0
     empty = active & (m == 0.0)
@@ -220,16 +229,17 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     `StepCollapseError` if the iterate leaves the finite range.
     """
     targets = masses.as_array()
-    act = np.flatnonzero(targets > 0)
+    live = np.flatnonzero(targets > 0)
+    m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(masses, grid, cfg)
+    u = _initial_array(masses, grid, cfg)[live]  # (k, n): the live rows
 
     mix = cfg.scheme == "preconditioned"
     tau_eff = cfg.tau if mix else cfg.tau * 2.0 / k2.max()
-    if mix:  # mixing history over the real view of the active components
-        size = 2 * act.size * grid.n
+    if mix:  # mixing history over the real view of the iterate
+        size = 2 * u.size
         dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
         x_prev, f_prev = np.empty(size), np.empty(size)
     count = -1  # differences recorded; -1 before the first iterate
@@ -237,23 +247,22 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
 
     e_prev = np.inf
     history = []
-    w = np.full(3, np.nan)
+    w = np.full(live.size, np.nan)
     res = res_min = np.inf
     best = 0  # accepted iterations up to the lowest residual
     for it in range(cfg.max_iters):
         uh = fft(u, axis=-1)
         mod = np.abs(u)
-        mod_p = mod ** model.p
-        kin, inter = _energy_terms(u, grid, model, uh, mod_p)
-        E = float(np.sum(kin) - np.sum(inter) / model.p)
+        mod_p = mod ** p
+        kin, inter = _energy_terms(u, grid, a, p, uh, mod_p)
+        E = float(np.sum(kin) - np.sum(inter) / p)
         if not np.isfinite(E):
             raise StepCollapseError(
                 f"non-finite energy at iteration {it} (step size collapse)")
-        N = _nonlinearity(u, model.a, model.p, mod, mod_p)
-        w_it = _multiplier_array(u, grid, model, targets, (kin, inter))
-        wa = w_it[act, None]
-        # rh: Fourier transform of the residual G_j + w_j u_j (active rows)
-        res_it, rh = _el_residual_array(u, w_it, grid, model, targets, uh, N)
+        N = _nonlinearity(u, a, p, mod, mod_p)
+        w_it = _multiplier_array(u, grid, a, p, m, (kin, inter))
+        # rh: Fourier transform of the residual G_j + w_j u_j
+        res_it, rh = _el_residual_array(u, w_it, grid, a, p, m, uh, N)
         if plain is not None and not (E <= e_prev + TOLS.energy_monotone_slack and
                                       res_it <= _RESIDUAL_GROWTH * res_min):
             # raised energy or residual (at round-off the weights fit noise)
@@ -268,21 +277,19 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             break
         e_prev = E
 
-        g = np.zeros_like(u)
+        wa = w[:, None]
         if not mix:
-            g[act] = ifft(uh[act] - tau_eff * (rh - wa * uh[act]), axis=-1)
-            u = _project(g, targets, h)
+            u = _project(ifft(uh - tau_eff * (rh - wa * uh), axis=-1), m, h)
             continue
         s = np.where(wa > _SHIFT_FLOOR, wa, _SHIFT_FALLBACK)
-        g[act] = ifft(uh[act] - tau_eff * rh / (k2 + s), axis=-1)
-        g = _project(g, targets, h)
+        g = _project(ifft(uh - tau_eff * rh / (k2 + s), axis=-1), m, h)
 
-        x = u[act].view(float).ravel()
-        gx = g[act].view(float).ravel()
+        x = u.view(float).ravel()  # real views of the iterate and the step
+        gx = g.view(float).ravel()
         if count >= 0:
             np.subtract(x, x_prev, out=dX[count % _DEPTH])
         x_prev[:] = x
-        f = np.subtract(gx, x, out=x)  # the step, in x's buffer
+        f = gx - x
         if count >= 0:
             np.subtract(f, f_prev, out=dF[count % _DEPTH])
         f_prev[:] = f
@@ -294,44 +301,48 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         # iterate g - (dX + dF) gamma, projected back onto the constraints
         F = dF[:min(count, _DEPTH)]
         gamma = np.linalg.lstsq(F @ F.T, F @ f, rcond=None)[0]
-        gx -= gamma @ dX[:len(F)]
-        gx -= gamma @ F
-        u = np.zeros_like(u)
-        u[act] = gx.view(complex).reshape(act.size, grid.n)
-        u, plain = _project(u, targets, h), g
-        del x, gx, f  # free before the next step: lower peak memory
+        mixed = gx - gamma @ dX[:len(F)]
+        mixed -= gamma @ F
+        u, plain = _project(mixed.view(complex).reshape(g.shape), m, h), g
+        del f, mixed  # free before the next step: lower peak memory
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
     if not res < target:
-        last = _package(u_acc, w, res, it + 1, model, masses, grid, history)
+        last = _package(u_acc, w, res, it + 1, a, p, m, live, grid, history)
         raise ConvergenceError(
             f"no convergence in {it + 1} iterations, the last {len(history) - best} "
             f"without a new lowest residual (residual {res:.3e}, target "
             f"{target:.1e})", last=last)
-    gs = _package(u_acc, w, res, it, model, masses, grid, history)
+    gs = _package(u_acc, w, res, it, a, p, m, live, grid, history)
     if not gs.lam < 0:
         raise ConvergenceError(
             f"converged to non-negative energy {gs.lam:.3e}; not a minimizer", last=gs)
     return gs
 
 
-def _package(u, w, res, iters, model, masses, grid, history) -> GroundState:
+def _embed(rows: np.ndarray, live: np.ndarray, fill: float) -> np.ndarray:
+    """The three components: `rows` at the `live` ones, `fill` elsewhere."""
+    out = np.full((3,) + rows.shape[1:], fill, dtype=rows.dtype)
+    out[live] = rows
+    return out
+
+
+def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
+    """The `GroundState` of the live rows u, with multipliers w, at masses m."""
     h = grid.spacing
     achieved = h * np.sum(np.abs(u) ** 2, axis=1)
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
     ul = u.astype(np.clongdouble)
-    kin, inter = _energy_terms(ul, grid, model)
-    targets = masses.as_array()
-    act = targets > 0
-    dq = h * np.sum(np.abs(ul[act]) ** 2, axis=1) - targets[act]
-    lam = float(np.sum(kin) - np.sum(inter) / model.p + np.sum(w[act] * dq))
+    kin, inter = _energy_terms(ul, grid, a, p)
+    dq = h * np.sum(np.abs(ul) ** 2, axis=1) - m
+    lam = float(np.sum(kin) - np.sum(inter) / p + np.sum(w * dq))
     return GroundState(
-        profile=State.from_array(grid, u),
-        multipliers=Multipliers(*map(float, w)),
+        profile=State.from_array(grid, _embed(u, live, 0.0)),
+        multipliers=Multipliers(*map(float, _embed(w, live, np.nan))),
         lam=lam,
         residual=res,
         iterations=iters,
-        masses_achieved=MassTriple(*map(float, achieved)),
+        masses_achieved=MassTriple(*map(float, _embed(achieved, live, 0.0))),
         energy_history=tuple(history),
     )
 
@@ -347,22 +358,24 @@ def refine_fixed_point(state: State, model: CouplingModel,
     included) or after `_MAX_SWEEPS` sweeps.
     """
     grid = state.grid
+    h = grid.spacing
     targets = masses.as_array()
-    active = targets > 0
+    live = np.flatnonzero(targets > 0)
+    m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, 1e-11)
-    u = _project(state.stack(), targets, grid.spacing)
-    w, res = _multiplier_array(u, grid, model), np.inf
+    u = _project(state.stack(), targets, h)[live]
+    w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        if not np.all(w[active] > 0):
-            raise DivergenceError(f"multiplier {w} not positive during refinement")
-        N = _nonlinearity(u, model.a, model.p)
-        u[active] = ifft(fft(N[active], axis=-1) / (k2 + w[active, None]), axis=-1)
-        u = _project(u, targets, grid.spacing)
-        w = _multiplier_array(u, grid, model)
-        res = _el_residual_array(u, w, grid, model)[0]
+        if not np.all(w > 0):
+            raise DivergenceError(f"multiplier {_embed(w, live, np.nan)} "
+                                  "not positive during refinement")
+        N = _nonlinearity(u, a, p)
+        u = _project(ifft(fft(N, axis=-1) / (k2 + w[:, None]), axis=-1), m, h)
+        w = _multiplier_array(u, grid, a, p)
+        res = _el_residual_array(u, w, grid, a, p)[0]
         if res < target:
-            return _package(u, w, res, sweeps, model, masses, grid, [])
+            return _package(u, w, res, sweeps, a, p, m, live, grid, [])
     raise DivergenceError(f"no fixed-point convergence in {_MAX_SWEEPS} sweeps "
                           f"(residual {res:.3e}, target {target:.1e})")
 
@@ -379,8 +392,9 @@ def two_component_min(alpha1: float, alpha2: float, beta: float,
 
     over ||f||^2 = a1, ||g||^2 = a2 (masses a1, a2).  Realized as the full
     problem with couplings (a11, a22, a12) = (alpha1, alpha2, beta) and the
-    third mass frozen at zero.  Both converged components are positive up to
-    a constant phase (checked by the test suite, not assumed here).
+    third mass zero, whose couplings the solver never reads.  Both converged
+    components are positive up to a constant phase (checked by the test
+    suite, not assumed here).
     """
     if min(alpha1, alpha2, beta, a1, a2) <= 0:
         raise ValueError("all parameters of the reduced problem must be positive")

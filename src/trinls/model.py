@@ -114,12 +114,15 @@ class State:
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels (shared by the solver and the time stepper)
+# array-level kernels (shared by the solver and the time stepper).  They take
+# a (k, n) array of k components with its k x k coupling block `a` and the
+# exponent p: the time stepper passes all three rows, the solver only the
+# components with positive target mass.
 # ---------------------------------------------------------------------------
 
 def _coefficients(u: np.ndarray, a: np.ndarray, p: float,
                   mod_p: np.ndarray = None) -> np.ndarray:
-    """c_j = sum_k a_kj |u_k|^p as a (3, n) array (`mod_p`: |u|^p if at hand)."""
+    """c_j = sum_k a_kj |u_k|^p, shaped like u (`mod_p`: |u|^p if at hand)."""
     return a.T @ (np.abs(u) ** p if mod_p is None else mod_p)
 
 
@@ -134,13 +137,13 @@ def _nonlinearity(u: np.ndarray, a: np.ndarray, p: float,
     return coef * mod ** (p - 2.0) * u
 
 
-def _gradient_array(u: np.ndarray, grid: Grid, model: CouplingModel) -> np.ndarray:
+def _gradient_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float) -> np.ndarray:
     k2 = grid.wavenumbers ** 2
     lap = ifft(-k2 * fft(u, axis=-1), axis=-1)
-    return -lap - _nonlinearity(u, model.a, model.p)
+    return -lap - _nonlinearity(u, a, p)
 
 
-def _energy_terms(u: np.ndarray, grid: Grid, model: CouplingModel,
+def _energy_terms(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
                   uh: np.ndarray = None, mod_p: np.ndarray = None):
     """Per-component kinetic energies and interaction integrals.
 
@@ -155,31 +158,31 @@ def _energy_terms(u: np.ndarray, grid: Grid, model: CouplingModel,
         uh = fft(u, axis=-1)
     kin = h / grid.n * np.sum(k2 * np.abs(uh) ** 2, axis=1)
     if mod_p is None:
-        mod_p = np.abs(u) ** model.p
-    inter = h * np.sum(mod_p * (model.a @ mod_p), axis=1)
+        mod_p = np.abs(u) ** p
+    inter = h * np.sum(mod_p * (a @ mod_p), axis=1)
     return kin, inter
 
 
-def _energy_array(u: np.ndarray, grid: Grid, model: CouplingModel,
+def _energy_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
                   uh: np.ndarray = None, mod_p: np.ndarray = None) -> float:
-    kin, inter = _energy_terms(u, grid, model, uh, mod_p)
-    return float(np.sum(kin) - np.sum(inter) / model.p)
+    kin, inter = _energy_terms(u, grid, a, p, uh, mod_p)
+    return float(np.sum(kin) - np.sum(inter) / p)
 
 
-def _multiplier_array(u: np.ndarray, grid: Grid, model: CouplingModel,
+def _multiplier_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
                       m: np.ndarray = None, terms=None) -> np.ndarray:
     """w_j = -(kin_j - inter_j) / m_j, nan where m_j = 0; `m` and `terms`
-    default to the masses of u and `_energy_terms(u, grid, model)`."""
-    kin, inter = _energy_terms(u, grid, model) if terms is None else terms
+    default to the masses of u and `_energy_terms(u, grid, a, p)`."""
+    kin, inter = _energy_terms(u, grid, a, p) if terms is None else terms
     m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
-    w = np.full(3, np.nan)
+    w = np.full(len(m), np.nan)
     pos = m > 0
     w[pos] = -(kin[pos] - inter[pos]) / m[pos]
     return w
 
 
 def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
-                       model: CouplingModel, m: np.ndarray = None,
+                       a: np.ndarray, p: float, m: np.ndarray = None,
                        uh: np.ndarray = None, N: np.ndarray = None):
     """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh) over the rows with mass, by
     Parseval from rh_j = (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j +
@@ -189,7 +192,7 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
     if not np.any(live):
         raise ValueError("all components have zero mass")
     uh = fft(u, axis=-1) if uh is None else uh
-    N = _nonlinearity(u, model.a, model.p) if N is None else N
+    N = _nonlinearity(u, a, p) if N is None else N
     rh = (grid.wavenumbers ** 2 + w[live, None]) * uh[live] - fft(N[live], axis=-1)
     sq = grid.spacing / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / m[live]
     return float(np.sqrt(np.max(sq))), rh
@@ -201,12 +204,12 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
 
 def energy(state: State, model: CouplingModel) -> float:
     """Value of the energy functional H."""
-    return _energy_array(state.stack(), state.grid, model)
+    return _energy_array(state.stack(), state.grid, model.a, model.p)
 
 
 def energy_gradient(state: State, model: CouplingModel) -> State:
     """Gradient G with dH(state)[d] = 2*Re<G, d>_{L^2}."""
-    G = _gradient_array(state.stack(), state.grid, model)
+    G = _gradient_array(state.stack(), state.grid, model.a, model.p)
     return State.from_array(state.grid, G)
 
 
@@ -216,7 +219,7 @@ def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
     Every component must carry positive mass: zero mass leaves the
     multiplier undefined and raises.
     """
-    w = _multiplier_array(state.stack(), state.grid, model)
+    w = _multiplier_array(state.stack(), state.grid, model.a, model.p)
     if np.any(np.isnan(w)):
         raise ValueError("undefined multiplier: a component has zero mass")
     return Multipliers(*map(float, w))
@@ -224,7 +227,8 @@ def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
 
 def el_residual(state: State, mult: Multipliers, model: CouplingModel) -> float:
     """max_j ||G_j + w_j u_j|| / ||u_j||, skipping zero-mass components."""
-    return _el_residual_array(state.stack(), mult.as_array(), state.grid, model)[0]
+    return _el_residual_array(state.stack(), mult.as_array(), state.grid,
+                              model.a, model.p)[0]
 
 
 def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:
@@ -326,10 +330,10 @@ def gradient_fd_error(grid: Grid, model: CouplingModel, rng) -> float:
     eps, worst = 1e-5, 0.0
     for _ in range(20):
         u, d = random_smooth_state(grid, rng), random_smooth_state(grid, rng)
-        G = _gradient_array(u, grid, model)
+        G = _gradient_array(u, grid, model.a, model.p)
         pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
-        fd = (_energy_array(u + eps * d, grid, model)
-              - _energy_array(u - eps * d, grid, model)) / (2 * eps)
+        fd = (_energy_array(u + eps * d, grid, model.a, model.p)
+              - _energy_array(u - eps * d, grid, model.a, model.p)) / (2 * eps)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
     return worst
 

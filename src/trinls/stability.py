@@ -23,6 +23,7 @@ threshold eps (default 20 * perturbation size).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -39,11 +40,14 @@ PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
 
 def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
                          sample_every: int = 1) -> None:
-    """Raise ValueError, led by its name, for the first argument out of range."""
+    """Raise ValueError, led by its name, for the first argument out of range
+    or, for a step count, not an integer."""
     for name, value, ok, rule in (
             ("kind", kind, kind in PERTURBATION_KINDS, f"one of {PERTURBATION_KINDS}"),
             ("delta", delta, 0 <= delta < np.inf, "finite and >= 0"),
             ("eps", eps, eps is None or 0 < eps < np.inf, "finite and > 0 when given"),
+            ("sample_every", sample_every, isinstance(sample_every, Integral),
+             "an integer"),
             ("sample_every", sample_every, sample_every > 0, "> 0")):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -198,7 +202,8 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     the sampled times (t = 0, every `sample_every` steps and the last step),
     has orbital_distance filled there and snapshots dropped.  A blow-up during
     evolution yields verdict "blow_up" with the partial trajectory.
-    ValueError: an argument out of range (`check_stability_args`, `evolve`).
+    ValueError: an argument out of range or a step count not an integer
+    (`check_stability_args`, `evolve`).
     """
     check_stability_args(kind, delta, eps, sample_every)
     if eps is None:

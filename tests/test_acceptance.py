@@ -105,7 +105,7 @@ def test_criterion_3_structural_signs_random_sweep(grid40):
         gs = t.minimize(model, masses, grid40,
                         t.SolverConfig(residual_tol=1e-9, seed=case))
         worst_res = max(worst_res, gs.residual)
-        kin, inter = _energy_terms(gs.profile.stack(), grid40, model)
+        kin, inter = _energy_terms(gs.profile.stack(), grid40, a, p)
         checks = {
             "lambda<0": gs.lam < 0,
             "omega>0": bool(np.all(gs.multipliers.as_array() > 0)),

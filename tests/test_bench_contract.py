@@ -55,12 +55,13 @@ def test_one_coefficients_call_per_step(monkeypatch, gs_equal, model_ones,
 
 def test_one_nonlinearity_call_per_sweep_and_iteration(monkeypatch, grid40,
                                                        model_ones):
-    masses = t.MassTriple(4 / 3, 4 / 3, 4 / 3)
     calls = count_calls(monkeypatch, ground_state, "_nonlinearity")
-    gs = t.minimize(model_ones, masses, grid40)
-    assert len(calls) == gs.iterations + 1
-    calls.clear()
-    rough = t.minimize(model_ones, masses, grid40, t.SolverConfig(residual_tol=1e-6))
-    calls.clear()
-    polished = t.refine_fixed_point(rough.profile, model_ones, masses)
-    assert len(calls) == polished.iterations > 1
+    for masses in (t.MassTriple(4 / 3, 4 / 3, 4 / 3), t.MassTriple(4.0, 0.0, 0.0)):
+        calls.clear()
+        gs = t.minimize(model_ones, masses, grid40)
+        assert len(calls) == gs.iterations + 1
+        rough = t.minimize(model_ones, masses, grid40,
+                           t.SolverConfig(residual_tol=1e-6))
+        calls.clear()
+        polished = t.refine_fixed_point(rough.profile, model_ones, masses)
+        assert len(calls) == polished.iterations > 1

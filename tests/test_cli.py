@@ -163,6 +163,11 @@ class TestConfigValidation:
                      "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_seed_flag_rule_is_solver_configs(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^invalid value for --seed: "
+                                              r"seed must be >= 0, got -1$"):
+            load_config(write_config(tmp_path, STAB_CFG), seed_override=-1)
+
     def test_seed_flag_replaces_seed_list(self, tmp_path):
         cfg = load_config(write_config(tmp_path, STAB_CFG), seed_override=5)
         assert cfg.stability["seeds"] == (5,)

@@ -47,7 +47,7 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
 
     def mass_energy(u, uh):
         mod2 = np.abs(u) ** 2
-        E = _energy_array(u, grid, model, uh,
+        E = _energy_array(u, grid, model.a, model.p, uh,
                           mod2 if model.p == 2.0 else np.abs(u) ** model.p)
         return grid.spacing * np.sum(mod2, axis=1), E
 
@@ -497,6 +497,13 @@ class TestArgumentCheck:
         # not a run that silently stores no snapshots
         with pytest.raises(ValueError, match="^snapshot_every must be >= 0"):
             t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, snapshot_every=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("snapshot_every", 1.5), ("snapshot_every", 2.0), ("record_every", 2.5)])
+    def test_step_count_not_an_integer(self, gs_equal, model_ones, name, value):
+        # not snapshots every 1.5 steps, nor a TypeError from range
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, **{name: value})
 
     @pytest.mark.parametrize("T", [float("inf"), 1e300, float("nan"), -1.0])
     def test_duration_out_of_range(self, gs_equal, model_ones, T):

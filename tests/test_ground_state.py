@@ -78,7 +78,7 @@ class TestSolverContracts:
         # each positive-mass component: kin_j - inter_j / p < 0 and kin_j > 0
         from trinls.model import _energy_terms
         u = gs_equal.profile.stack()
-        kin, inter = _energy_terms(u, gs_equal.grid, model_ones)
+        kin, inter = _energy_terms(u, gs_equal.grid, model_ones.a, model_ones.p)
         assert np.all(kin - inter / model_ones.p < 0)
         assert np.all(kin > 0)
 
@@ -288,6 +288,49 @@ class TestRefineFixedPoint:
         monkeypatch.setattr("trinls.ground_state._MAX_SWEEPS", 40)
         with pytest.raises(t.DivergenceError):
             t.refine_fixed_point(state, model_ones, t.MassTriple(0.01, 0.01, 0.01))
+
+
+class TestLiveRows:
+    """The flow and the polish work on the components with positive target
+    mass only; the others come back as exact zeros with NaN multipliers."""
+
+    @staticmethod
+    def record_transforms(monkeypatch):
+        """Wrap the fft and ifft names the solver and the model kernels call;
+        returns the list of the row counts they were given."""
+        import trinls.ground_state as ground_state
+        import trinls.model as model
+        rows = []
+        for module in (ground_state, model):
+            for name in ("fft", "ifft"):
+                def traced(x, *args, inner=getattr(module, name), **kwargs):
+                    rows.append(x.shape[0])
+                    return inner(x, *args, **kwargs)
+                monkeypatch.setattr(module, name, traced)
+        return rows
+
+    def test_transforms_get_live_rows_only(self, grid40, model_ones, monkeypatch):
+        masses = t.MassTriple(4.0, 0.0, 0.0)
+        rough = t.minimize(model_ones, masses, grid40, t.SolverConfig(residual_tol=1e-6))
+        rows = self.record_transforms(monkeypatch)
+        t.minimize(model_ones, masses, grid40)
+        with pytest.raises(t.ConvergenceError):
+            t.minimize(model_ones, masses, grid40,
+                       t.SolverConfig(scheme="explicit", max_iters=20))
+        t.refine_fixed_point(rough.profile, model_ones, masses)
+        assert len(rows) > 20 and set(rows) == {1}
+
+    @pytest.mark.parametrize("masses", [(0.0, 4.0, 0.0), (2.0, 0.0, 2.0)])
+    def test_dead_rows_are_exact_zeros(self, grid40, model_ones, masses):
+        dead = np.array(masses) == 0
+        rough = t.minimize(model_ones, t.MassTriple(*masses), grid40,
+                           t.SolverConfig(residual_tol=1e-6))
+        polished = t.refine_fixed_point(rough.profile, model_ones, t.MassTriple(*masses))
+        for gs in (rough, polished):
+            u = gs.profile.stack()[dead]
+            assert np.all(u == 0) and not np.any(np.signbit(u.view(float)))
+            assert np.all(np.isnan(gs.multipliers.as_array()[dead]))
+            assert np.all(gs.masses_achieved.as_array()[dead] == 0.0)
 
 
 class TestOneResidualDefinition:

@@ -122,22 +122,23 @@ class TestPrecomputedModuli:
                 == _coefficients(u, a, p).tobytes())
         assert (_nonlinearity(u, a, p, mod, mod_p).tobytes()
                 == _nonlinearity(u, a, p).tobytes())
-        terms = _energy_terms(u, grid40, model, None, mod_p)
-        for given, own in zip(terms, _energy_terms(u, grid40, model)):
+        terms = _energy_terms(u, grid40, a, p, None, mod_p)
+        for given, own in zip(terms, _energy_terms(u, grid40, a, p)):
             assert given.tobytes() == own.tobytes()
         m = grid40.spacing * np.sum(mod ** 2, axis=1)
-        w = _multiplier_array(u, grid40, model, m, terms)
-        assert w.tobytes() == _multiplier_array(u, grid40, model).tobytes()
-        given = _el_residual_array(u, w, grid40, model, m, fft(u, axis=-1),
+        w = _multiplier_array(u, grid40, a, p, m, terms)
+        assert w.tobytes() == _multiplier_array(u, grid40, a, p).tobytes()
+        given = _el_residual_array(u, w, grid40, a, p, m, fft(u, axis=-1),
                                    _nonlinearity(u, a, p, mod, mod_p))
-        own = _el_residual_array(u, w, grid40, model)
+        own = _el_residual_array(u, w, grid40, a, p)
         assert given[0] == own[0] and given[1].tobytes() == own[1].tobytes()
 
 
 class TestMultipliersAndResidual:
     def test_single_component_multiplier(self, grid40, model_ones):
         # (4/3 - 16/3) / (-4) = 1; the frozen components read NaN
-        w = _multiplier_array(single_state(grid40).stack(), grid40, model_ones)
+        w = _multiplier_array(single_state(grid40).stack(), grid40,
+                              model_ones.a, model_ones.p)
         assert abs(w[0] - 1.0) <= 1e-9
         assert np.isnan(w[1]) and np.isnan(w[2])
 

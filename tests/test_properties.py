@@ -5,8 +5,9 @@ coupling matrix with entries in [0.8, 1.2], p in [2, 2.5], one to three
 active components, and masses drawn through a target frequency omega in
 [0.3, 2] (the mass of the one-component sech ground state at that
 frequency, shared unevenly over the active components), which keeps the
-ground state resolved on n = 256, L = 40.  `evolve` starts from smooth
-random states on the same grid.  The argument checks of `evolve` and
+ground state resolved on n = 256, L = 40.  Relabelling the components
+must relabel the ground state.  `evolve` starts from smooth random states on
+the same grid.  The argument checks of `evolve` and
 `stability_experiment` get one drawn value in an otherwise valid call.
 """
 
@@ -78,6 +79,41 @@ def test_minimize_properties(case):
     assert gs.iterations <= 40
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(cases(), st.permutations(range(3)))
+def test_minimize_permutes_with_components(case, perm):
+    """Relabelling the components (masses and coupling matrix) relabels the
+    profile, lambda and the multipliers.  The live components are solved as
+    a block in their order, so a relabelling that keeps that order gives the
+    relabelled answer bit for bit, wherever it moves the zero-mass rows.  One
+    that reorders them changes the summation order of the coupling sums, and
+    the profile and multipliers move by round-off (about 1e-15 relative)."""
+    model, masses = case
+    m = masses.as_array()
+    gs = t.minimize(model, masses, GRID)
+
+    def relabelled(order):
+        """(lambda, profile, multipliers) solved with component order[i] as
+        component i, and the profile and multipliers gs predicts."""
+        got = t.minimize(t.CouplingModel(model.a[np.ix_(order, order)], model.p),
+                         t.MassTriple(*m[order]), GRID)
+        return (got.lam, got.profile.stack(), got.multipliers.as_array(),
+                gs.profile.stack()[order], gs.multipliers.as_array()[order])
+
+    slots = [i for i, j in enumerate(perm) if m[j] > 0]
+    kept = list(perm)
+    for i, j in zip(slots, sorted(perm[i] for i in slots)):
+        kept[i] = j  # the live components back in their order
+    lam, u, w, want_u, want_w = relabelled(kept)
+    assert lam == gs.lam
+    assert u.tobytes() == want_u.tobytes() and w.tobytes() == want_w.tobytes()
+    if perm != kept:
+        lam, u, w, want_u, want_w = relabelled(perm)
+        assert abs(lam - gs.lam) <= 1e-12 * abs(gs.lam)
+        assert np.max(np.abs(u - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+        assert np.allclose(w, want_w, rtol=1e-12, atol=0, equal_nan=True)
+
+
 @st.composite
 def trajectories(draw):
     a, p, active = couplings(draw)
@@ -106,13 +142,14 @@ FLOATS = st.floats()   # NaN and +-inf included
 INTS = st.integers()
 MODEL = t.CouplingModel(np.ones((3, 3)), 2.0)
 # argument -> (valid base value, strategy of drawn values)
+STEPS = INTS | FLOATS  # step counts: non-integral values must be rejected
 EVOLVE_ARGS = {"T": (5e-3, FLOATS), "dt": (1e-3, FLOATS),
-               "snapshot_every": (0, INTS), "record_every": (1, INTS)}
+               "snapshot_every": (0, STEPS), "record_every": (1, STEPS)}
 STABILITY_ARGS = {
     "kind": ("mass_preserving_random",
              st.sampled_from(PERTURBATION_KINDS) | st.text(max_size=8)),
     "delta": (1e-3, FLOATS), "eps": (None, st.none() | FLOATS),
-    "sample_every": (2, INTS)}
+    "sample_every": (2, STEPS)}
 
 
 @st.composite
@@ -141,6 +178,10 @@ def ground():
 @example(("T", dict(T=math.inf, dt=1e-3, snapshot_every=0, record_every=1)))
 @example(("snapshot_every", dict(T=5e-3, dt=1e-3, snapshot_every=-1,
                                  record_every=1)))
+@example(("snapshot_every", dict(T=5e-3, dt=1e-3, snapshot_every=1.5,
+                                 record_every=1)))
+@example(("record_every", dict(T=5e-3, dt=1e-3, snapshot_every=0,
+                               record_every=2.5)))
 def test_evolve_runs_or_names_argument(case):
     """A drawn value either runs (at most 10 steps) or raises the ValueError
     of `check_evolve_args`, led by the argument's name, before any step."""
@@ -167,6 +208,8 @@ def test_evolve_runs_or_names_argument(case):
                            sample_every=2)))
 @example(case=("delta", dict(kind="random_h1", delta=math.inf, eps=None,
                              sample_every=2)))
+@example(case=("sample_every", dict(kind="random_h1", delta=1e-3, eps=None,
+                                    sample_every=2.5)))
 def test_stability_runs_or_names_argument(ground, case):
     """A drawn value either gives a report (4 steps) or raises the
     ValueError of `check_stability_args`, led by the argument's name."""

@@ -267,6 +267,12 @@ class TestExperiment:
             t.stability_experiment(gs_equal, model_ones, "mass_preserving_random",
                                    1e-3, T=0.01, dt=1e-3, sample_every=5, eps=eps)
 
+    @pytest.mark.parametrize("sample_every", [2.5, 5.0])
+    def test_sample_every_not_an_integer(self, gs_equal, model_ones, sample_every):
+        with pytest.raises(ValueError, match="^sample_every must be an integer"):
+            t.stability_experiment(gs_equal, model_ones, "mass_preserving_random",
+                                   1e-3, T=0.01, dt=1e-3, sample_every=sample_every)
+
     @pytest.mark.parametrize("d, flag", [
         ([1, 2, 10, 8, 3, 2, 2, 2, 2, 2], True),
         (list(range(1, 11)), False),
