@@ -2,7 +2,8 @@
 
 Subcommands
     solve      minimize the constrained energy; write groundstate.json + profile.csv
-    evolve     integrate an input profile; write trace.csv (+ snapshots/)
+    evolve     integrate an input profile; write trace.csv (+ snapshots/, written
+               by a forked writer process while the time loop runs)
     stability  perturbation ensemble around the solved minimizer; report.json per seed
     subadd     subadditivity margins for configured mass splits; margins.csv
     validate   built-in closed-form oracle checks; exit 0 iff all pass
@@ -35,9 +36,16 @@ then header and rows ending in CRLF, each float its shortest round-trip repr
 (a profile read back may also use LF, quoted or space-padded cells, blank
 lines).  Every output but metadata.json is byte-identical per config and seed.
 
-Exit codes: 0 ok, 1 config/input error (`ConfigError`), 2 non-convergence
-(`ConvergenceError`, also a collapsed flow step or a diverging polish),
-3 blow-up, 4 validation failure.
+With snapshots on, `evolve` forks one writer process (start method "fork";
+it formats text and writes files, no FFT or BLAS).  The sample hook sends
+each (3, n) state down a one-way pipe, whose bounded buffer makes the time
+loop wait for a slow writer, so about one snapshot is in flight.  The pipe
+is closed and the writer joined on every exit; a writer error is reported
+with the writer's own exception (exit 1).
+
+Exit codes: 0 ok, 1 config/input error (`ConfigError`, also a failed
+snapshot writer), 2 non-convergence (`ConvergenceError`, also a collapsed
+flow step or a diverging polish), 3 blow-up, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -46,7 +54,10 @@ import argparse
 import configparser
 import json
 import math
+import multiprocessing
+import signal
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -325,27 +336,92 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
+def _snap_name(i: int) -> str:
+    return f"snap_{i:06d}.csv"
+
+
+def _write_snapshots(conn, parent_end, report, folder: Path, grid: Grid) -> None:
+    """Writer process: each (index, samples) from `conn` becomes
+    folder/snap_XXXXXX.csv until the parent closes the pipe, then None goes
+    to `report`; the first error goes there as text instead and ends the
+    process, which breaks the pipe.  It ignores SIGINT, so a Ctrl-C reaches
+    the caller as the parent's KeyboardInterrupt, not as a writer error."""
+    parent_end.close()  # the fork's copy: EOF comes when the parent closes its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            try:
+                i, u = conn.recv()
+            except EOFError:
+                break
+            write_profile_csv(folder / _snap_name(i), State.from_array(grid, u))
+    except Exception as err:
+        report.send(f"{type(err).__name__}: {err}")
+    else:
+        report.send(None)
+
+
+@contextmanager
+def _snapshot_writer(folder: Path, grid: Grid):
+    """Yield (sample, times): `sample` is an `evolve` hook that sends each
+    state to a forked writer process, `times` its sample times.  The pipe's
+    buffer is bounded (64 KiB on Linux, a third of a (3, 4096) sample), so a
+    writer slower than the loop holds the loop back and about one sample is
+    in flight.  On every exit the pipe is closed and the writer joined; a
+    writer that failed raises ConfigError with its own error (in place of
+    the BrokenPipeError the hook then meets)."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    failure, report = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_write_snapshots,
+                         args=(recv, send, report, folder, grid))
+    writer.start()
+    recv.close()
+    report.close()
+    times = []
+
+    def sample(t, state):
+        send.send((len(times), state.stack()))
+        times.append(t)
+
+    try:
+        yield sample, times
+    finally:
+        send.close()
+        writer.join()
+        try:
+            error = failure.recv()
+        except EOFError:  # ended before it could report
+            error = f"exit code {writer.exitcode}"
+        failure.close()
+        writer.close()
+        if error:
+            raise ConfigError(f"snapshot writer failed: {error}")
+
+
 def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
     if cfg.evolution is None:
         raise ConfigError("[evolution] section required for evolve")
     state0 = read_profile_csv(Path(profile_path), cfg.grid)
     ev = cfg.evolution
-    try:
-        trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
-                       snapshot_every=ev["snapshot_every"])
-        code = 0
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        trace = err.trace
-        code = 3
-    write_trace_csv(out / "trace.csv", trace)
-    if trace.snapshots:
+    every = ev["snapshot_every"]
+    if every:
         (out / "snapshots").mkdir(exist_ok=True)
-        names = [f"snap_{i:06d}.csv" for i in range(len(trace.snapshots))]
-        for name, (_, snap) in zip(names, trace.snapshots):
-            write_profile_csv(out / "snapshots" / name, snap)
-        _write_csv(out / "snapshots.csv", ["t", "file"],
-                   [[t for t, _ in trace.snapshots], names])
+    # the writer formats the snapshots while this process steps
+    with (_snapshot_writer(out / "snapshots", cfg.grid) if every
+          else nullcontext((None, []))) as (sample, times):
+        try:
+            trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
+                           snapshot_every=every, sample=sample)
+            code = 0
+        except BlowUpError as err:
+            print(f"blow-up: {err}", file=sys.stderr)
+            trace = err.trace
+            code = 3
+        write_trace_csv(out / "trace.csv", trace)
+        if times:
+            _write_csv(out / "snapshots.csv", ["t", "file"],
+                       [times, [_snap_name(i) for i in range(len(times))]])
     if not quiet and code == 0:
         print(f"evolved to T = {trace.times[-1]:g}; "
               f"max energy drift = {trace.energy_drift.max():.3e}")

@@ -13,7 +13,9 @@ the forward one out of the nonlinear substep and the inverse one into the
 next.  A recorded step makes its inverse transform of a stacked (6, n)
 array instead, whose rows give the next nonlinear substep's input and the
 samples u(t_n), bit for bit as separate calls would; its record uses the
-model's energy kernel, and the drifts are formed once after the loop.
+model's energy kernel, and the drifts are formed once after the loop.  A
+snapshotted step hands its state to the caller's hook, sample(t, State),
+and keeps nothing, so a run of any length holds one state at a time.
 
 The nonlinear substep is exact: the coefficients depend only on the moduli
 |u_m|, and a simultaneous pure phase rotation of the components leaves every
@@ -31,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -55,14 +57,12 @@ class EvolutionTrace:
     times has one entry per recorded instant (t = 0 included); energy_drift
     is relative |H(t) - H(0)| / |H(0)|; mass_drifts has shape (len(times), 3)
     with relative per-component drifts (zero-mass components report 0).
-    snapshots, when requested, is a tuple of (time, State); orbital_distance
-    is filled by the stability experiments.
+    orbital_distance is filled by the stability experiments.
     """
 
     times: np.ndarray
     energy_drift: np.ndarray
     mass_drifts: np.ndarray
-    snapshots: Optional[tuple] = None
     orbital_distance: Optional[np.ndarray] = None
 
 
@@ -145,7 +145,7 @@ def _record(u, uh, grid: Grid, model: CouplingModel):
             _energy_array(u, grid, model.a, model.p, uh, mod_p))
 
 
-def _trace(times, masses, energies, snaps) -> EvolutionTrace:
+def _trace(times, masses, energies) -> EvolutionTrace:
     """Drifts of the recorded masses and energies relative to the first
     record; the first row reads 0 even when the start is not finite."""
     e0, m0 = energies[0], masses[0]
@@ -154,25 +154,32 @@ def _trace(times, masses, energies, snaps) -> EvolutionTrace:
     m_drift = np.zeros(masses.shape)
     live = m0 > 0
     m_drift[1:, live] = np.abs(masses[1:, live] - m0[live]) / m0[live]
-    return EvolutionTrace(times=times, energy_drift=e_drift, mass_drifts=m_drift,
-                          snapshots=None if snaps is None else tuple(snaps))
+    return EvolutionTrace(times=times, energy_drift=e_drift, mass_drifts=m_drift)
 
 
 def evolve(state0: State, T: float, dt: float, model: CouplingModel,
-           snapshot_every: int = 0, record_every: int = 1) -> EvolutionTrace:
+           snapshot_every: int = 0, record_every: int = 1,
+           sample: Optional[Callable[[float, State], None]] = None) -> EvolutionTrace:
     """Integrate for round(T / |dt|) steps, recording the drifts at t = 0,
     every `record_every` steps and at the last step.
 
-    dt < 0 integrates backwards.  Snapshots of the full state are stored
-    every `snapshot_every` steps (0 disables; t = 0 and the last step are
-    always included when enabled).  Every step checks its phase rates for a
+    dt < 0 integrates backwards.  Every `snapshot_every` steps (0 disables;
+    t = 0 and the last step are always included when enabled) the state is
+    passed to the hook as sample(t, State) while the loop runs; nothing is
+    kept, so memory does not grow with the number of samples.  No later
+    step writes to the samples a State views, so the hook may keep it.  Every step checks its phase rates for a
     non-finite value, which flags exactly the first non-finite state, and
     every recorded step its energy, which can overflow first (p > 2); either
-    raises BlowUpError there with the trace of the rows recorded before it.
+    raises BlowUpError there with the trace of the rows recorded before it,
+    after the samples before it have gone to the hook.
     ValueError: an argument out of range or a step count not an integer
-    (`check_evolve_args`, which calls T t).
+    (`check_evolve_args`, which calls T t), or snapshot_every > 0 without a
+    hook.
     """
     check_evolve_args(T, dt, snapshot_every, record_every)
+    if snapshot_every > 0 and sample is None:
+        raise ValueError(f"snapshot_every must be 0 without a sample hook, "
+                         f"got {snapshot_every!r}")
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
     recorded = list(range(0, nsteps + 1, record_every))
@@ -185,10 +192,11 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     energies = np.empty(len(recorded))
     masses[0], energies[0] = _record(u, uh, grid, model)
     rows = 1
-    snaps = [(0.0, State.from_array(grid, u))] if snapshot_every > 0 else None
+    if snapshot_every > 0:
+        sample(0.0, State.from_array(grid, u))
 
     def blow_up(what, s):
-        partial = _trace(times[:rows], masses[:rows], energies[:rows], snaps)
+        partial = _trace(times[:rows], masses[:rows], energies[:rows])
         return BlowUpError(f"non-finite {what} at t = {s * dt:g}", trace=partial)
 
     # rows 0-2: the next step's spectrum after its opening half step, rows
@@ -204,7 +212,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
             raise blow_up("state", s)
         np.multiply(half, uh, out=pair[:3])
         record = s % record_every == 0 or s == nsteps
-        snap = snaps is not None and (s % snapshot_every == 0 or s == nsteps)
+        snap = snapshot_every > 0 and (s % snapshot_every == 0 or s == nsteps)
         if not (record or snap):
             v = ifft(pair[:3], axis=-1)
             continue
@@ -216,6 +224,6 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
                 raise blow_up("energy", s)
             rows += 1
         if snap:
-            snaps.append((s * dt, State.from_array(grid, u.copy())))
+            sample(s * dt, State.from_array(grid, u))
 
-    return _trace(times, masses, energies, snaps)
+    return _trace(times, masses, energies)

@@ -174,9 +174,13 @@ _MAX_SWEEPS = 600  # polish sweeps before `refine_fixed_point` gives up
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     """Exact projection onto the mass constraints: each row of u rescaled to
-    its entry of `targets`, or zeroed where that is 0."""
+    its entry of `targets`, or zeroed where that is 0.  When every target is
+    positive (the solver's live rows) there is no row to zero."""
     m = h * np.sum(np.abs(u) ** 2, axis=1)
     active = targets > 0
+    if active.all() and m.all():  # every row live and non-zero: none to zero
+        u *= np.sqrt(targets / m)[:, None]
+        return u
     empty = active & (m == 0.0)
     if np.any(empty):
         j = int(np.argmax(empty))

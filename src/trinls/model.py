@@ -191,6 +191,8 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
     live = ~(m <= 0)  # not `m > 0`: a NaN mass must yield a NaN residual
     if not np.any(live):
         raise ValueError("all components have zero mass")
+    if live.all():  # the solver's rows: views, not mask copies
+        live = slice(None)
     uh = fft(u, axis=-1) if uh is None else uh
     N = _nonlinearity(u, a, p) if N is None else N
     rh = (grid.wavenumbers ** 2 + w[live, None]) * uh[live] - fft(N[live], axis=-1)

@@ -15,14 +15,15 @@ spectrally interpolated correlation.  The resulting number is an upper bound
 for the distance to the full minimizer set, since only the orbit of one
 representative is scanned.
 
-A stability experiment perturbs a ground state, evolves it, samples this
-orbital distance, and issues a bounded / escaped / blow_up verdict against a
-threshold eps (default 20 * perturbation size).
+A stability experiment perturbs a ground state, evolves it, measures this
+orbital distance on each sampled state inside the evolution's sample hook
+(so no state outlives its measurement), and issues a bounded / escaped /
+blow_up verdict against a threshold eps (default 20 * perturbation size).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional
 
@@ -199,8 +200,9 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
 
     eps defaults to 20 * delta (for the delta = 0 control, to the scheme
     error allowance instead).  The returned trace records the drifts only at
-    the sampled times (t = 0, every `sample_every` steps and the last step),
-    has orbital_distance filled there and snapshots dropped.  A blow-up during
+    the sampled times (t = 0, every `sample_every` steps and the last step)
+    and has orbital_distance filled there, each distance measured in the
+    hook `evolve` calls with the sampled state.  A blow-up during
     evolution yields verdict "blow_up" with the partial trajectory.
     ValueError: an argument out of range or a step count not an integer
     (`check_stability_args`, `evolve`).
@@ -210,19 +212,19 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
         eps = 20.0 * delta if delta > 0 else TOLS.stability_control
     initial = perturb(ground.profile, kind, delta, seed)
     blew_up = False
+    dists = []
     try:
         trace = evolve(initial, T, dt, model, snapshot_every=sample_every,
-                       record_every=sample_every)
+                       record_every=sample_every,
+                       sample=lambda _, s: dists.append(orbital_distance(s, ground)))
     except BlowUpError as err:
         trace = err.trace
         blew_up = True
 
-    dists = np.array([orbital_distance(s, ground) for _, s in trace.snapshots])
+    trace.orbital_distance = dists = np.array(dists)
     sup = float(dists.max())
-
     verdict = "blow_up" if blew_up else ("bounded" if sup <= eps else "escaped")
-    out_trace = replace(trace, snapshots=None, orbital_distance=dists)
     return StabilityReport(
         delta=delta, eps=float(eps), kind=kind, seed=seed,
         sup_distance=sup, verdict=verdict,
-        trace=out_trace, orbit_drift_flag=_drift_reversal(dists))
+        trace=trace, orbit_drift_flag=_drift_reversal(dists))

@@ -4,6 +4,8 @@ The solves are session-scoped because several test modules reuse them and
 each costs a fraction of a second to a few seconds.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,15 @@ def gs_equal(grid40, model_ones):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail a test after which a child process is still running (and stop
+    it, so the next test starts clean)."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert not left, f"child processes still running: {left}"

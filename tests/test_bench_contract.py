@@ -49,7 +49,8 @@ def test_one_coefficients_call_per_step(monkeypatch, gs_equal, model_ones,
                                         record_every, snapshot_every):
     calls = count_calls(monkeypatch, evolution, "_coefficients")
     t.evolve(gs_equal.profile, 0.05, 1e-3, model_ones,
-             snapshot_every=snapshot_every, record_every=record_every)
+             snapshot_every=snapshot_every, record_every=record_every,
+             sample=lambda time, state: None)
     assert len(calls) == 50
 
 

@@ -5,6 +5,11 @@ import dataclasses
 import inspect
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -552,6 +557,146 @@ class TestEvolve:
                          str(tmp_path / "huge.csv"), "--out", str(out), "--quiet"])
         assert code == 3
         assert (out / "trace.csv").exists()
+
+
+WRITER_CFG = BASE.replace("p = 2.0", "p = 2.5").replace("a12 = 1.0", "a12 = 0.7") + """
+[evolution]
+t = 0.1
+dt = 1e-3
+snapshot_every = 5
+"""
+
+
+def in_process_evolve(cfg_path, profile, out):
+    """The files `trinls evolve` writes, with each snapshot written by an
+    in-process `sample` hook: the reference for the forked writer."""
+    from trinls.cli import _write_csv, write_trace_csv
+    cfg = load_config(cfg_path)
+    ev = cfg.evolution
+    (out / "snapshots").mkdir(parents=True)
+    names, times = [], []
+
+    def sample(when, state):
+        names.append(f"snap_{len(names):06d}.csv")
+        times.append(when)
+        write_profile_csv(out / "snapshots" / names[-1], state)
+
+    try:
+        trace = t.evolve(read_profile_csv(profile, cfg.grid), ev["t"], ev["dt"],
+                         cfg.model, snapshot_every=ev["snapshot_every"],
+                         sample=sample)
+    except t.BlowUpError as err:
+        trace = err.trace
+    write_trace_csv(out / "trace.csv", trace)
+    _write_csv(out / "snapshots.csv", ["t", "file"], [times, names])
+
+
+class TestSnapshotWriter:
+    """`trinls evolve` writes its snapshots in a forked writer process."""
+
+    @pytest.fixture()
+    def run(self, tmp_path):
+        grid = t.make_grid(512, 40.0)
+        x = grid.nodes
+        u = np.stack([np.exp(-(x - 0.3 * j) ** 2 / 2 + 0.4j * j * x) for j in range(3)])
+        u[1, 0] = complex(-0.0, 0.0)
+        profile = tmp_path / "p.csv"
+        write_profile_csv(profile, t.State.from_array(grid, u))
+        cfg = write_config(tmp_path, WRITER_CFG)
+
+        def run(out):
+            return main(["evolve", "--config", cfg, "--profile", str(profile),
+                         "--out", str(out), "--quiet"])
+        return run, cfg, profile
+
+    def test_outputs_match_in_process_writer(self, tmp_path, run):
+        run, cfg, profile = run
+        assert run(tmp_path / "fork") == 0
+        in_process_evolve(cfg, profile, tmp_path / "ref")
+        files = scientific_files(tmp_path / "fork")
+        assert len(files) == 2 + 21  # trace, index, snapshots at 0, 5, ..., 100
+        assert files == scientific_files(tmp_path / "ref")
+
+    def test_blow_up_keeps_samples_before_it(self, tmp_path, run, monkeypatch,
+                                             capsys):
+        # an infinite rate on step 13: snapshots at steps 0, 5 and 10 remain
+        from trinls import evolution
+        run, cfg, profile = run
+        calls = []
+
+        def rates(u, a, p):
+            calls.append(None)
+            theta = evolution._coefficients(u, a, p) * np.abs(u) ** (p - 2)
+            if len(calls) == 13:
+                theta[1, 100] = np.inf
+            return theta
+
+        monkeypatch.setattr(evolution, "_phase_coefficient", rates)
+        with np.errstate(invalid="ignore"):
+            assert run(tmp_path / "fork") == 3
+            calls.clear()
+            in_process_evolve(cfg, profile, tmp_path / "ref")
+        assert "blow-up: non-finite state at t = 0.013" in capsys.readouterr().err
+        files = scientific_files(tmp_path / "fork")
+        assert sorted(map(str, files)) == [
+            "snapshots.csv", "snapshots/snap_000000.csv",
+            "snapshots/snap_000001.csv", "snapshots/snap_000002.csv", "trace.csv"]
+        assert files == scientific_files(tmp_path / "ref")
+
+    @pytest.mark.parametrize("bad", [2, 20], ids=["mid-run", "last"])
+    def test_writer_failure_is_reported(self, tmp_path, run, capsys, bad):
+        # snapshot `bad` cannot be written: a directory holds its name
+        run, _, _ = run
+        out = tmp_path / "fork"
+        (out / "snapshots" / f"snap_{bad:06d}.csv").mkdir(parents=True)
+        assert run(out) == 1
+        err = capsys.readouterr().err
+        assert "snapshot writer failed: IsADirectoryError" in err
+        assert f"snap_{bad:06d}.csv" in err and "BrokenPipe" not in err
+
+    def test_interrupt_is_not_a_writer_failure(self, tmp_path, run):
+        # Ctrl-C reaches the whole process group: the writer ignores it and
+        # ends when the parent closes the pipe, so the parent's
+        # KeyboardInterrupt is what the command reports
+        _, _, profile = run
+        cfg = write_config(tmp_path, WRITER_CFG.replace("t = 0.1", "t = 1000.0")
+                           .replace("snapshot_every = 5", "snapshot_every = 200"),
+                           name="long.ini")
+        out = tmp_path / "long"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trinls.cli", "evolve", "--config", cfg,
+             "--profile", str(profile), "--out", str(out), "--quiet"],
+            env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "snapshots" / "snap_000001.csv").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert "KeyboardInterrupt" in err and "snapshot writer failed" not in err
+        with pytest.raises(ProcessLookupError):  # the writer is gone too
+            os.killpg(proc.pid, 0)
+
+    def test_no_writer_without_snapshots(self, tmp_path, run, monkeypatch):
+        from trinls import cli
+
+        def no_fork(method):
+            raise AssertionError("forked without snapshots")
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", no_fork)
+        run, cfg, profile = run
+        path = tmp_path / "quiet.ini"
+        path.write_text(WRITER_CFG.replace("snapshot_every = 5", "snapshot_every = 0"))
+        assert main(["evolve", "--config", str(path), "--profile", str(profile),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert sorted(map(str, scientific_files(tmp_path / "o"))) == ["trace.csv"]
 
 
 class TestSubadd:

@@ -7,6 +7,9 @@ state (a relative equilibrium) the leading drift term degenerates, which is
 why the order fit below uses a non-stationary gaussian state.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,11 +39,19 @@ def moving_triple(grid, masses):
     return t.State.from_array(grid, u)
 
 
-def reference_evolve(state0, T, dt, model, snapshot_every=0):
+class Samples(list):
+    """A `sample` hook for `evolve` that keeps every (t, State) it is given."""
+
+    def __call__(self, time, state):
+        self.append((time, state))
+
+
+def reference_evolve(state0, T, dt, model, snapshot_every=0, sample=None):
     """Plain Strang loop: three separate transforms per step, the phase
     factor written out, the energy from the model kernel, drifts formed step
-    by step and the guard on the energy.  `evolve` must give the same
-    trajectory and drifts bit for bit."""
+    by step and the guard on the energy; every `snapshot_every` steps (and
+    the last) the state goes to `sample`.  `evolve` must give the same
+    trajectory, samples and drifts bit for bit."""
     from scipy.fft import fft, ifft
     from trinls.evolution import _phase_coefficient
     from trinls.model import _energy_array
@@ -61,7 +72,8 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
     times = np.arange(nsteps + 1) * dt
     e_drift = np.zeros(nsteps + 1)
     m_drift = np.zeros((nsteps + 1, 3))
-    snaps = [(0.0, t.State.from_array(grid, u))] if snapshot_every > 0 else []
+    if snapshot_every > 0:
+        sample(0.0, t.State.from_array(grid, u))
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     rot = np.empty_like(u)
     for s in range(1, nsteps + 1):
@@ -80,26 +92,27 @@ def reference_evolve(state0, T, dt, model, snapshot_every=0):
         m, E = mass_energy(u, uh)
         if not np.isfinite(E):
             raise t.BlowUpError("non-finite state", trace=t.EvolutionTrace(
-                times=times[:s], energy_drift=e_drift[:s], mass_drifts=m_drift[:s],
-                snapshots=tuple(snaps) if snapshot_every > 0 else None))
+                times=times[:s], energy_drift=e_drift[:s], mass_drifts=m_drift[:s]))
         e_drift[s] = abs(E - E0) / e_scale
         m_drift[s, active] = np.abs(m[active] - m0[active]) / m0[active]
         if snapshot_every > 0 and (s % snapshot_every == 0 or s == nsteps):
-            snaps.append((s * dt, t.State.from_array(grid, u)))
-    return t.EvolutionTrace(times=times, energy_drift=e_drift, mass_drifts=m_drift,
-                            snapshots=tuple(snaps) if snapshot_every > 0 else None)
+            sample(s * dt, t.State.from_array(grid, u))
+    return t.EvolutionTrace(times=times, energy_drift=e_drift, mass_drifts=m_drift)
 
 
-def assert_same_trace(trace, ref):
-    """Byte-identical times, drifts and snapshots."""
+def assert_same_samples(samples, ref):
+    """Byte-identical sample times and states."""
+    assert [s for s, _ in samples] == [s for s, _ in ref]
+    for (_, a), (_, b) in zip(samples, ref):
+        assert a.stack().tobytes() == b.stack().tobytes()
+
+
+def assert_same_trace(trace, ref, samples=(), ref_samples=()):
+    """Byte-identical times, drifts and samples."""
     assert trace.times.tobytes() == ref.times.tobytes()
     assert trace.mass_drifts.tobytes() == ref.mass_drifts.tobytes()
     assert trace.energy_drift.tobytes() == ref.energy_drift.tobytes()
-    assert (trace.snapshots is None) == (ref.snapshots is None)
-    if ref.snapshots is not None:
-        assert [s for s, _ in trace.snapshots] == [s for s, _ in ref.snapshots]
-        for (_, a), (_, b) in zip(trace.snapshots, ref.snapshots):
-            assert a.stack().tobytes() == b.stack().tobytes()
+    assert_same_samples(samples, ref_samples)
 
 
 class TestStep:
@@ -135,11 +148,12 @@ class TestStep:
     def test_evolve_matches_repeated_step(self, gs_equal, model_ones):
         state = gs_equal.profile
         dt = 2e-3
-        trace = t.evolve(state, 3 * dt, dt, model_ones, snapshot_every=3)
+        snaps = Samples()
+        t.evolve(state, 3 * dt, dt, model_ones, snapshot_every=3, sample=snaps)
         manual = state
         for _ in range(3):
             manual = t.step(manual, dt, model_ones)
-        final = trace.snapshots[-1][1]
+        final = snaps[-1][1]
         assert _y_norm(final.stack() - manual.stack(), gs_equal.grid) <= 1e-13
 
     @pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.2, 0.0, 0.8)],
@@ -153,11 +167,12 @@ class TestStep:
         model = t.CouplingModel(a, p)
         state = gaussian_triple(grid40, masses)
         dt = 2e-3
-        trace = t.evolve(state, 3 * dt, dt, model, snapshot_every=3)
+        snaps = Samples()
+        t.evolve(state, 3 * dt, dt, model, snapshot_every=3, sample=snaps)
         manual = state
         for _ in range(3):
             manual = t.step(manual, dt, model)
-        final = trace.snapshots[-1][1]
+        final = snaps[-1][1]
         assert _y_norm(final.stack() - manual.stack(), grid40) <= 1e-13
 
     @pytest.mark.parametrize("dt", [1e-3, -1e-3], ids=["fwd", "bwd"])
@@ -173,8 +188,10 @@ class TestStep:
         grid = t.make_grid(n, 40.0)
         model = t.CouplingModel(a, p)
         state = moving_triple(grid, masses)
-        trace = t.evolve(state, 0.02, dt, model, snapshot_every=3)
-        assert_same_trace(trace, reference_evolve(state, 0.02, dt, model, 3))
+        snaps, ref_snaps = Samples(), Samples()
+        trace = t.evolve(state, 0.02, dt, model, snapshot_every=3, sample=snaps)
+        ref = reference_evolve(state, 0.02, dt, model, 3, ref_snaps)
+        assert_same_trace(trace, ref, snaps, ref_snaps)
 
 
 def recorded_steps(nsteps, record_every):
@@ -192,17 +209,17 @@ class TestRecordEvery:
         grid = t.make_grid(256, 40.0)
         model = t.CouplingModel(ASYMMETRIC_A, p)
         state = moving_triple(grid, (1.2, 0.0, 0.8))
-        full = t.evolve(state, 0.25, dt, model, snapshot_every=9)
+        full_snaps, snaps = Samples(), Samples()
+        full = t.evolve(state, 0.25, dt, model, snapshot_every=9, sample=full_snaps)
         sampled = t.evolve(state, 0.25, dt, model, snapshot_every=9,
-                           record_every=record_every)
+                           record_every=record_every, sample=snaps)
         rows = recorded_steps(250, record_every)
         assert rows[-1] == 250
         assert sampled.times.tobytes() == full.times[rows].tobytes()
         assert sampled.energy_drift.tobytes() == full.energy_drift[rows].tobytes()
         assert sampled.mass_drifts.tobytes() == full.mass_drifts[rows].tobytes()
-        assert [s for s, _ in sampled.snapshots] == [s for s, _ in full.snapshots]
-        for (_, a), (_, b) in zip(sampled.snapshots, full.snapshots):
-            assert a.stack().tobytes() == b.stack().tobytes()
+        assert len(full_snaps) == 29  # 0, 9, ..., 243 and 250
+        assert_same_samples(snaps, full_snaps)
 
     @pytest.mark.parametrize("record_every", [0, -3])
     def test_rejects_non_positive(self, gs_equal, model_ones, record_every):
@@ -326,8 +343,10 @@ class TestConservation:
         sigma = 0.5
         boosted = t.apply_symmetry(gs_equal.profile, boost=sigma)
         T = 8.0
-        trace = t.evolve(boosted, T, 1e-3, model_ones, snapshot_every=8000)
-        final = trace.snapshots[-1][1]
+        snaps = Samples()
+        trace = t.evolve(boosted, T, 1e-3, model_ones, snapshot_every=8000,
+                         sample=snaps)
+        final = snaps[-1][1]
         grid = gs_equal.grid
         rho0 = np.sum(np.abs(boosted.stack()) ** 2, axis=0)
         rho1 = np.sum(np.abs(final.stack()) ** 2, axis=0)
@@ -353,10 +372,11 @@ class TestConservation:
         start = t.State.from_array(
             gs_equal.grid,
             gs_equal.profile.stack() + 0.05 * t.random_smooth_state(gs_equal.grid, rng))
-        fwd = t.evolve(start, 1.0, 1e-3, model_ones, snapshot_every=1000)
-        end = fwd.snapshots[-1][1]
-        back = t.evolve(end, 1.0, -1e-3, model_ones, snapshot_every=1000)
-        returned = back.snapshots[-1][1]
+        fwd, back = Samples(), Samples()
+        t.evolve(start, 1.0, 1e-3, model_ones, snapshot_every=1000, sample=fwd)
+        end = fwd[-1][1]
+        t.evolve(end, 1.0, -1e-3, model_ones, snapshot_every=1000, sample=back)
+        returned = back[-1][1]
         err = _y_norm(returned.stack() - start.stack(), gs_equal.grid)
         assert err <= TOLS.reversal_ynorm
 
@@ -366,8 +386,9 @@ class TestConservation:
         # with the public energy and masses
         model = t.CouplingModel(ASYMMETRIC_A, p)
         state = gaussian_triple(grid40, (1.2, 0.0, 0.8))
-        trace = t.evolve(state, 0.05, 1e-3, model, snapshot_every=1)
-        states = [s for _, s in trace.snapshots]
+        snaps = Samples()
+        trace = t.evolve(state, 0.05, 1e-3, model, snapshot_every=1, sample=snaps)
+        states = [s for _, s in snaps]
         E = np.array([t.energy(s, model) for s in states])
         m = np.array([s.masses() for s in states])
         m_drift = np.zeros_like(m)
@@ -379,14 +400,16 @@ class TestConservation:
         assert np.allclose(trace.mass_drifts, m_drift, rtol=0, atol=1e-12)
 
     def test_trace_shapes(self, gs_equal, model_ones):
-        trace = t.evolve(gs_equal.profile, 0.05, 1e-3, model_ones, snapshot_every=10)
+        snaps = Samples()
+        trace = t.evolve(gs_equal.profile, 0.05, 1e-3, model_ones, snapshot_every=10,
+                         sample=snaps)
         assert trace.times.shape == (51,)
         assert trace.energy_drift.shape == (51,)
         assert trace.mass_drifts.shape == (51, 3)
         assert trace.times[0] == 0.0
         assert trace.energy_drift[0] == 0.0
         # snapshots at 0, 10, ..., 50
-        assert len(trace.snapshots) == 6
+        assert len(snaps) == 6
 
     def test_zero_duration(self, gs_equal, model_ones):
         trace = t.evolve(gs_equal.profile, 0.0, 1e-3, model_ones)
@@ -413,19 +436,20 @@ class TestBlowUpGuard:
         u = np.full((3, 1024), 1e200, dtype=complex)
         u *= np.exp(-grid40.nodes ** 2)[None, :]
         S = t.State.from_array(grid40, u)
+        snaps, ref_snaps = Samples(), Samples()
         with np.errstate(all="ignore"):
             with pytest.raises(t.BlowUpError) as err:
-                t.evolve(S, 1.0, 1e-3, model, snapshot_every=1)
+                t.evolve(S, 1.0, 1e-3, model, snapshot_every=1, sample=snaps)
             with pytest.raises(t.BlowUpError) as ref:
-                reference_evolve(S, 1.0, 1e-3, model, snapshot_every=1)
+                reference_evolve(S, 1.0, 1e-3, model, 1, ref_snaps)
         trace = err.value.trace
-        assert_same_trace(trace, ref.value.trace)
+        assert_same_trace(trace, ref.value.trace, snaps, ref_snaps)
         assert trace.energy_drift[0] == 0.0
         assert np.all(np.isfinite(trace.energy_drift))
         assert np.all(np.isfinite(trace.mass_drifts))
         # one snapshot per completed step, none at or after the failing one
-        assert len(trace.snapshots) == len(trace.times)
-        assert trace.snapshots[-1][0] < len(trace.times) * 1e-3
+        assert len(snaps) == len(trace.times)
+        assert snaps[-1][0] < len(trace.times) * 1e-3
 
     @pytest.mark.parametrize("bad_step", [13, 14])
     def test_sampled_record_stops_at_first_non_finite_step(self, grid40,
@@ -445,13 +469,15 @@ class TestBlowUpGuard:
         monkeypatch.setattr(evolution, "_phase_coefficient", rates)
         model = t.CouplingModel(np.ones((3, 3)), 2.0)
         state = moving_triple(grid40, (1.0, 1.0, 1.0))
-        traces = {}
+        traces, samples = {}, {}
         for record_every in (1, 7):
             calls.clear()
+            samples[record_every] = Samples()
             with np.errstate(invalid="ignore"):
                 with pytest.raises(t.BlowUpError) as err:
                     t.evolve(state, 0.05, 1e-3, model, snapshot_every=5,
-                             record_every=record_every)
+                             record_every=record_every,
+                             sample=samples[record_every])
             assert str(err.value) == f"non-finite state at t = {bad_step * 1e-3:g}"
             assert len(calls) == bad_step
             traces[record_every] = err.value.trace
@@ -461,9 +487,8 @@ class TestBlowUpGuard:
         assert sampled.times.tobytes() == full.times[rows].tobytes()
         assert sampled.energy_drift.tobytes() == full.energy_drift[rows].tobytes()
         assert sampled.mass_drifts.tobytes() == full.mass_drifts[rows].tobytes()
-        assert [s for s, _ in sampled.snapshots] == [0.0, 5e-3, 10e-3]
-        for (_, a), (_, b) in zip(sampled.snapshots, full.snapshots):
-            assert a.stack().tobytes() == b.stack().tobytes()
+        assert [s for s, _ in samples[7]] == [0.0, 5e-3, 10e-3]
+        assert_same_samples(samples[7], samples[1])
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_energy_overflow_raises_at_first_record(self, record_every):
@@ -498,6 +523,12 @@ class TestArgumentCheck:
         with pytest.raises(ValueError, match="^snapshot_every must be >= 0"):
             t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, snapshot_every=-1)
 
+    def test_snapshot_every_without_hook(self, gs_equal, model_ones):
+        # not a cadence accepted and then ignored
+        with pytest.raises(ValueError,
+                           match="^snapshot_every must be 0 without a sample hook"):
+            t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, snapshot_every=5)
+
     @pytest.mark.parametrize("name, value", [
         ("snapshot_every", 1.5), ("snapshot_every", 2.0), ("record_every", 2.5)])
     def test_step_count_not_an_integer(self, gs_equal, model_ones, name, value):
@@ -515,3 +546,28 @@ class TestArgumentCheck:
     def test_dt_not_finite_or_zero(self, gs_equal, model_ones, dt):
         with pytest.raises(ValueError, match="^dt must be finite and non-zero"):
             t.evolve(gs_equal.profile, 0.01, dt, model_ones)
+
+
+MAXRSS_SCRIPT = """
+import resource, sys
+import numpy as np
+import trinls as t
+grid = t.make_grid(4096, 80.0)
+u = np.stack([np.exp(-(grid.nodes - j) ** 2 / 2).astype(complex) for j in range(3)])
+state = t.State.from_array(grid, u)
+model = t.CouplingModel(np.ones((3, 3)), 2.0)
+kw = dict(snapshot_every=1, sample=lambda time, s: None) if sys.argv[1] == "1" else {}
+t.evolve(state, 1.0, 1e-3, model, **kw)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_samples_are_not_kept():
+    # 1001 samples of 196 KB at n = 4096: a hook that drops each state must
+    # leave the peak memory where a run without samples has it
+    def peak_kb(snapshots):
+        out = subprocess.run([sys.executable, "-c", MAXRSS_SCRIPT, snapshots],
+                             capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    assert peak_kb("1") - peak_kb("0") <= 10 * 1024
