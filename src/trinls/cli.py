@@ -17,9 +17,9 @@ every error names its section.key.  Accepted values (see README):
     [grid]      n (power of two >= 16), length > 0
     [coupling]  a11, a12, a13, a22, a23, a33 > 0 (symmetric), 2 <= p < 3
     [masses]    r, s, t >= 0, at least one > 0
-    [solver]    tau > 0, max_iters >= 1, residual_tol > 0, seed >= 0,
-                init_profile (a profile file to start from), scheme,
-                noise >= 0 (0 with init_profile)           (all optional)
+    [solver]    max_iters >= 1, residual_tol > 0, seed >= 0, init_profile
+                (a profile file to start from), noise >= 0 (0 with
+                init_profile)                              (all optional)
     [evolution] t >= 0, dt != 0 (t / |dt| steps fit a Python index),
                 snapshot_every >= 0
     [stability] kind, delta >= 0, eps > 0, seeds (distinct) >= 0,
@@ -108,8 +108,8 @@ def _splits(raw: str) -> tuple:
 
 def _ints(raw: str) -> tuple:
     values = tuple(int(x) for x in raw.split(","))
-    if min(values) < 0 or len(set(values)) < len(values):
-        raise ValueError(f"{raw!r} has a seed < 0 or repeats one")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{raw!r} repeats a seed")
     return values
 
 
@@ -122,8 +122,8 @@ _SCHEMA = {
                         ("a11", "a12", "a13", "a22", "a23", "a33", "p")}),
     "masses": (True, {k: (float, ...) for k in ("r", "s", "t")}),
     "solver": (False, {k: (conv, getattr(SolverConfig, k, None)) for k, conv in (
-        ("tau", float), ("max_iters", int), ("residual_tol", float), ("seed", int),
-        ("init_profile", str), ("scheme", str), ("noise", float))}),
+        ("max_iters", int), ("residual_tol", float), ("seed", int),
+        ("init_profile", str), ("noise", float))}),
     "evolution": (False, {"t": (float, ...), "dt": (float, ...),
                           "snapshot_every": (int, 0)}),
     "stability": (False, {"kind": (str, "mass_preserving_random"),
@@ -228,9 +228,11 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     solver = _build("solver.", SolverConfig, **knobs)
     if sec["evolution"] is not None:
         _build("evolution.", check_evolve_args, **sec["evolution"])
-    if sec["stability"] is not None:  # every key but seeds is an argument
-        _build("stability.", check_stability_args, **{
-            k: v for k, v in sec["stability"].items() if k != "seeds"})
+    if sec["stability"] is not None:  # each of the seeds is a `seed` argument
+        args = {k: v for k, v in sec["stability"].items() if k != "seeds"}
+        _build("stability.", check_stability_args, **args)
+        for seed in sec["stability"]["seeds"]:
+            _build("stability.seeds: ", check_stability_args, **args, seed=seed)
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
                      evolution=sec["evolution"], stability=sec["stability"],

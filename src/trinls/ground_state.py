@@ -6,26 +6,18 @@ gradient, then renormalize each constrained component to its target mass.
 Because the three constraints involve disjoint variables, per-component
 renormalization is the exact projection onto the constraint set.
 
-Two flow schemes are provided:
-
-``preconditioned`` (default)
-    Steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with w_j
-    and the residual re-extracted every iteration by the `model` kernels the
-    polish and `el_residual` use (relative to the prescribed masses here).
-    The fixed point of step + projection g(u) is exactly the Euler-Lagrange
-    state.  With tau = 1 and s_j = w_j the step is the Green-kernel sweep
-    below.  g is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
-    over the last `_DEPTH` iterate and step differences; a mixed iterate that
-    raises the energy beyond the monotonicity slack, or the residual above
-    `_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain
-    step and the history is cleared.  About 15 iterations reach the round-off
-    floor; `_STALL` accepted iterations without a new lowest residual mean a
-    floor above the target, and end the flow.
-
-``explicit``
-    Plain forward-Euler descent u <- u - tau_eff * G with tau_eff a fraction
-    of the von Neumann limit 2 / max(k^2), never mixed.  Kept as a
-    cross-check; it needs O(1e5) iterations at production resolution.
+The flow steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with
+w_j and the residual re-extracted every iteration by the `model` kernels the
+polish and `el_residual` use (relative to the prescribed masses here).  The
+fixed point of step + projection g(u) is exactly the Euler-Lagrange state.
+With s_j = w_j the step is the Green-kernel sweep below.  g is Anderson-mixed
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last `_DEPTH` iterate
+and step differences; a mixed iterate that raises the energy beyond the
+monotonicity slack, or the residual above `_RESIDUAL_GROWTH` times the
+lowest one reached, gives way to the plain step and the history is cleared.
+About 15 iterations reach the round-off floor; `_STALL` accepted iterations
+without a new lowest residual mean a floor above the target, and end the
+flow.
 
 The flow, the polish and lambda work on the live components only, those
 with positive target mass: a (k, n) array of their rows, with the k x k
@@ -52,6 +44,7 @@ diagnostic, and the subadditivity margin check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,25 +88,22 @@ class SolverConfig:
     noise (for basin checks).
     """
 
-    tau: float = 1.0
     max_iters: int = 5000
     residual_tol: float = 5e-12
     seed: int = 0
     initial_state: Optional[State] = None
-    scheme: str = "preconditioned"
     noise: float = 0.0
 
     def __post_init__(self):
         for name, ok, rule in (
-                ("tau", self.tau > 0, "> 0"),
+                ("max_iters", isinstance(self.max_iters, Integral), "an integer"),
                 ("max_iters", self.max_iters >= 1, ">= 1"),
                 ("residual_tol", self.residual_tol > 0, "> 0"),
+                ("seed", isinstance(self.seed, Integral), "an integer"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("noise", self.noise >= 0, ">= 0"),
                 ("noise", self.noise == 0 or self.initial_state is None,
-                 "0 with a supplied start"),
-                ("scheme", self.scheme in ("preconditioned", "explicit"),
-                 "preconditioned or explicit")):
+                 "0 with a supplied start")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -224,8 +214,8 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
              cfg: SolverConfig = SolverConfig()) -> GroundState:
     """Minimize H over the mass-constraint set; returns the ground state.
 
-    Iterates the normalized flow (step, exact mass projection), Anderson-mixed
-    for the preconditioned scheme, until the Euler-Lagrange residual is below
+    Iterates the Anderson-mixed normalized flow (step, exact mass projection)
+    until the Euler-Lagrange residual is below
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
     (carrying the last accepted, evaluated iterate) after `max_iters`, after
     `_STALL` accepted iterations without a new lowest residual, or when the
@@ -240,12 +230,9 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     target = _residual_target(grid, cfg.residual_tol)
     u = _initial_array(masses, grid, cfg)[live]  # (k, n): the live rows
 
-    mix = cfg.scheme == "preconditioned"
-    tau_eff = cfg.tau if mix else cfg.tau * 2.0 / k2.max()
-    if mix:  # mixing history over the real view of the iterate
-        size = 2 * u.size
-        dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
-        x_prev, f_prev = np.empty(size), np.empty(size)
+    size = 2 * u.size  # mixing history over the real view of the iterate
+    dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
+    x_prev, f_prev = np.empty(size), np.empty(size)
     count = -1  # differences recorded; -1 before the first iterate
     plain = None  # the unmixed step behind the current mixed iterate
 
@@ -281,12 +268,8 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             break
         e_prev = E
 
-        wa = w[:, None]
-        if not mix:
-            u = _project(ifft(uh - tau_eff * (rh - wa * uh), axis=-1), m, h)
-            continue
-        s = np.where(wa > _SHIFT_FLOOR, wa, _SHIFT_FALLBACK)
-        g = _project(ifft(uh - tau_eff * rh / (k2 + s), axis=-1), m, h)
+        s = np.where(w > _SHIFT_FLOOR, w, _SHIFT_FALLBACK)[:, None]
+        g = _project(ifft(uh - rh / (k2 + s), axis=-1), m, h)
 
         x = u.view(float).ravel()  # real views of the iterate and the step
         gx = g.view(float).ravel()

@@ -40,16 +40,18 @@ PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
 
 
 def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
-                         sample_every: int = 1) -> None:
+                         sample_every: int = 1, seed: int = 0) -> None:
     """Raise ValueError, led by its name, for the first argument out of range
-    or, for a step count, not an integer."""
+    or, for a step count or the seed, not an integer."""
     for name, value, ok, rule in (
             ("kind", kind, kind in PERTURBATION_KINDS, f"one of {PERTURBATION_KINDS}"),
             ("delta", delta, 0 <= delta < np.inf, "finite and >= 0"),
             ("eps", eps, eps is None or 0 < eps < np.inf, "finite and > 0 when given"),
             ("sample_every", sample_every, isinstance(sample_every, Integral),
              "an integer"),
-            ("sample_every", sample_every, sample_every > 0, "> 0")):
+            ("sample_every", sample_every, sample_every > 0, "> 0"),
+            ("seed", seed, isinstance(seed, Integral), "an integer"),
+            ("seed", seed, seed >= 0, ">= 0")):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -154,9 +156,10 @@ def perturb(state: State, kind: str, amplitude: float, seed: int = 0) -> State:
     (same, then each component is renormalized so its mass matches `state`
     exactly), "component_tilt" (mass exchange direction along the profile
     shapes; deterministic).  amplitude 0 returns the state unchanged.
-    ValueError: an unknown kind, or an amplitude not finite and >= 0 (as delta).
+    ValueError: an unknown kind, an amplitude not finite and >= 0 (as delta),
+    or a seed not an integer >= 0.
     """
-    check_stability_args(kind, amplitude)
+    check_stability_args(kind, amplitude, seed=seed)
     if amplitude == 0.0:
         return state
     grid = state.grid
@@ -204,10 +207,10 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     and has orbital_distance filled there, each distance measured in the
     hook `evolve` calls with the sampled state.  A blow-up during
     evolution yields verdict "blow_up" with the partial trajectory.
-    ValueError: an argument out of range or a step count not an integer
-    (`check_stability_args`, `evolve`).
+    ValueError: an argument out of range or a step count or the seed not an
+    integer (`check_stability_args`, `evolve`).
     """
-    check_stability_args(kind, delta, eps, sample_every)
+    check_stability_args(kind, delta, eps, sample_every, seed)
     if eps is None:
         eps = 20.0 * delta if delta > 0 else TOLS.stability_control
     initial = perturb(ground.profile, kind, delta, seed)

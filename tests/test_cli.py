@@ -53,8 +53,8 @@ FULL_CFG = {
     "coupling": {k: "1.0" for k in ("a11", "a12", "a13", "a22", "a23", "a33")}
     | {"p": "2.0"},
     "masses": {"r": "1.0", "s": "1.0", "t": "1.0"},
-    "solver": {"tau": "1.0", "max_iters": "50", "residual_tol": "5e-12",
-               "seed": "0", "scheme": "preconditioned", "noise": "0.0"},
+    "solver": {"max_iters": "50", "residual_tol": "5e-12", "seed": "0",
+               "noise": "0.0"},
     "evolution": {"t": "1.0", "dt": "1e-3", "snapshot_every": "0"},
     "stability": {"kind": "mass_preserving_random", "delta": "1e-3",
                   "eps": "0.02", "seeds": "0,1", "sample_every": "100"},
@@ -173,6 +173,14 @@ class TestConfigValidation:
                                               r"seed must be >= 0, got -1$"):
             load_config(write_config(tmp_path, STAB_CFG), seed_override=-1)
 
+    def test_seed_list_rule_is_the_librarys(self, tmp_path):
+        # each listed seed goes through check_stability_args, as the seed
+        # argument of stability_experiment does
+        text = BASE + "\n[stability]\ndelta = 1e-3\nseeds = 0,-1\n"
+        with pytest.raises(ConfigError, match=r"^stability\.seeds: seed must be "
+                                              r">= 0, got -1$"):
+            load_config(write_config(tmp_path, text))
+
     def test_seed_flag_replaces_seed_list(self, tmp_path):
         cfg = load_config(write_config(tmp_path, STAB_CFG), seed_override=5)
         assert cfg.stability["seeds"] == (5,)
@@ -229,6 +237,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, line", [
         ("solver", "rearrange_every = 25"),
         ("solver", "refine = true"),
+        ("solver", "scheme = explicit"),
+        ("solver", "tau = 1.0"),
         ("output", "formats = json,csv"),
     ])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, line):
@@ -236,7 +246,8 @@ class TestConfigValidation:
                 else BASE + f"\n[output]\n{line}\n")
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert line.split(" = ")[0] in capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
 
     def test_solver_schema_matches_config_fields(self):
         # a SolverConfig field without a [solver] key, a key without a field,

@@ -151,7 +151,7 @@ STABILITY_ARGS = {
     "kind": ("mass_preserving_random",
              st.sampled_from(PERTURBATION_KINDS) | st.text(max_size=8)),
     "delta": (1e-3, FLOATS), "eps": (None, st.none() | FLOATS),
-    "sample_every": (2, STEPS)}
+    "sample_every": (2, STEPS), "seed": (0, STEPS)}
 
 
 @st.composite
@@ -212,6 +212,10 @@ def test_evolve_runs_or_names_argument(case):
                              sample_every=2)))
 @example(case=("sample_every", dict(kind="random_h1", delta=1e-3, eps=None,
                                     sample_every=2.5)))
+@example(case=("seed", dict(kind="component_tilt", delta=1e-3, eps=None,
+                            sample_every=2, seed=-1)))
+@example(case=("seed", dict(kind="random_h1", delta=1e-3, eps=None,
+                            sample_every=2, seed=1.5)))
 def test_stability_runs_or_names_argument(ground, case):
     """A drawn value either gives a report (4 steps) or raises the
     ValueError of `check_stability_args`, led by the argument's name."""
