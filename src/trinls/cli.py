@@ -3,7 +3,7 @@
 Subcommands
     solve      minimize the constrained energy; write groundstate.json + profile.csv
     evolve     integrate an input profile; write trace.csv (+ snapshots/, written
-               by a forked writer process while the time loop runs)
+               by a one-worker process pool while the time loop runs)
     stability  perturbation ensemble around the solved minimizer; report.json per seed
     subadd     subadditivity margins for configured mass splits; margins.csv
     validate   built-in closed-form oracle checks; exit 0 iff all pass
@@ -36,16 +36,16 @@ then header and rows ending in CRLF, each float its shortest round-trip repr
 (a profile read back may also use LF, quoted or space-padded cells, blank
 lines).  Every output but metadata.json is byte-identical per config and seed.
 
-With snapshots on, `evolve` forks one writer process (start method "fork";
-it formats text and writes files, no FFT or BLAS).  The sample hook sends
-each (3, n) state down a one-way pipe, whose bounded buffer makes the time
-loop wait for a slow writer, so about one snapshot is in flight.  The pipe
-is closed and the writer joined on every exit; a writer error is reported
-with the writer's own exception (exit 1).
+With snapshots on, `evolve` writes them in a one-worker process pool
+(start method "fork"; the worker formats text and writes files, no FFT or
+BLAS).  The sample hook waits for the previous write before it submits the
+next, so one snapshot is in flight.  The pool is shut down on every exit; a
+failed write is reported with the worker's own exception (exit 1).
 
 Exit codes: 0 ok, 1 config/input error (`ConfigError`, also a failed
-snapshot writer), 2 non-convergence (`ConvergenceError`, also a collapsed
-flow step or a diverging polish), 3 blow-up, 4 validation failure.
+snapshot writer or an output that cannot be written), 2 non-convergence
+(`ConvergenceError`, also a collapsed flow step or a diverging polish),
+3 blow-up, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import math
 import multiprocessing
 import signal
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -342,63 +343,37 @@ def _snap_name(i: int) -> str:
     return f"snap_{i:06d}.csv"
 
 
-def _write_snapshots(conn, parent_end, report, folder: Path, grid: Grid) -> None:
-    """Writer process: each (index, samples) from `conn` becomes
-    folder/snap_XXXXXX.csv until the parent closes the pipe, then None goes
-    to `report`; the first error goes there as text instead and ends the
-    process, which breaks the pipe.  It ignores SIGINT, so a Ctrl-C reaches
-    the caller as the parent's KeyboardInterrupt, not as a writer error."""
-    parent_end.close()  # the fork's copy: EOF comes when the parent closes its own
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        while True:
-            try:
-                i, u = conn.recv()
-            except EOFError:
-                break
-            write_profile_csv(folder / _snap_name(i), State.from_array(grid, u))
-    except Exception as err:
-        report.send(f"{type(err).__name__}: {err}")
-    else:
-        report.send(None)
-
-
 @contextmanager
-def _snapshot_writer(folder: Path, grid: Grid):
-    """Yield (sample, times): `sample` is an `evolve` hook that sends each
-    state to a forked writer process, `times` its sample times.  The pipe's
-    buffer is bounded (64 KiB on Linux, a third of a (3, 4096) sample), so a
-    writer slower than the loop holds the loop back and about one sample is
-    in flight.  On every exit the pipe is closed and the writer joined; a
-    writer that failed raises ConfigError with its own error (in place of
-    the BrokenPipeError the hook then meets)."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    failure, report = ctx.Pipe(duplex=False)
-    writer = ctx.Process(target=_write_snapshots,
-                         args=(recv, send, report, folder, grid))
-    writer.start()
-    recv.close()
-    report.close()
-    times = []
+def _snapshot_writer(folder: Path):
+    """Yield (sample, times): `sample` is an `evolve` hook that has a
+    one-worker process pool (forked) write each state as
+    folder/snap_XXXXXX.csv, `times` its sample times.  The hook first waits
+    for the previous write, so at most one state is in flight.  The worker
+    ignores SIGINT, so a Ctrl-C reaches the caller as this process's
+    KeyboardInterrupt.  The pool is shut down on every exit; a failed write
+    raises ConfigError with the worker's own exception."""
+    pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                               initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
+    times, last = [], None
+
+    def settle():
+        error = last and last.exception()
+        if error:
+            raise ConfigError(
+                f"snapshot writer failed: {type(error).__name__}: {error}")
 
     def sample(t, state):
-        send.send((len(times), state.stack()))
+        nonlocal last
+        settle()
+        last = pool.submit(write_profile_csv, folder / _snap_name(len(times)), state)
         times.append(t)
 
     try:
         yield sample, times
+        settle()
     finally:
-        send.close()
-        writer.join()
-        try:
-            error = failure.recv()
-        except EOFError:  # ended before it could report
-            error = f"exit code {writer.exitcode}"
-        failure.close()
-        writer.close()
-        if error:
-            raise ConfigError(f"snapshot writer failed: {error}")
+        pool.shutdown()
 
 
 def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
@@ -410,7 +385,7 @@ def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int
     if every:
         (out / "snapshots").mkdir(exist_ok=True)
     # the writer formats the snapshots while this process steps
-    with (_snapshot_writer(out / "snapshots", cfg.grid) if every
+    with (_snapshot_writer(out / "snapshots") if every
           else nullcontext((None, []))) as (sample, times):
         try:
             trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
@@ -447,7 +422,7 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
             "seed": rep.seed, "sup_distance": rep.sup_distance,
             "verdict": rep.verdict, "orbit_drift_flag": rep.orbit_drift_flag,
             "times": [float(t) for t in rep.trace.times],
-            "distances": [float(d) for d in rep.trace.orbital_distance],
+            "distances": [float(d) for d in rep.distances],
         })
         summary["verdicts"][str(seed)] = rep.verdict
         summary["sup_distances"][str(seed)] = rep.sup_distance
@@ -588,6 +563,9 @@ def main(argv=None) -> int:
         return cmd(cfg, out, args.quiet)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # the readers raise ConfigError: this is a write
+        print(f"config error: cannot write output: {err}", file=sys.stderr)
         return 1
     except ConvergenceError as err:
         print(f"solve failed: {err}", file=sys.stderr)

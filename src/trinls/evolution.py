@@ -57,13 +57,11 @@ class EvolutionTrace:
     times has one entry per recorded instant (t = 0 included); energy_drift
     is relative |H(t) - H(0)| / |H(0)|; mass_drifts has shape (len(times), 3)
     with relative per-component drifts (zero-mass components report 0).
-    orbital_distance is filled by the stability experiments.
     """
 
     times: np.ndarray
     energy_drift: np.ndarray
     mass_drifts: np.ndarray
-    orbital_distance: Optional[np.ndarray] = None
 
 
 def _phase_coefficient(u: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
@@ -116,10 +114,12 @@ def check_evolve_args(t: float, dt: float, snapshot_every: int = 0,
             ("t", t, 0 <= t <= sys.maxsize * abs(dt), "in [0, sys.maxsize * |dt|]"),
             ("snapshot_every", snapshot_every, isinstance(snapshot_every, Integral),
              "an integer"),
-            ("snapshot_every", snapshot_every, snapshot_every >= 0, ">= 0"),
+            ("snapshot_every", snapshot_every,
+             isinstance(snapshot_every, Integral) and snapshot_every >= 0, ">= 0"),
             ("record_every", record_every, isinstance(record_every, Integral),
              "an integer"),
-            ("record_every", record_every, record_every > 0, "> 0")):
+            ("record_every", record_every,
+             isinstance(record_every, Integral) and record_every > 0, "> 0")):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 

@@ -97,10 +97,11 @@ class SolverConfig:
     def __post_init__(self):
         for name, ok, rule in (
                 ("max_iters", isinstance(self.max_iters, Integral), "an integer"),
-                ("max_iters", self.max_iters >= 1, ">= 1"),
+                ("max_iters", isinstance(self.max_iters, Integral) and self.max_iters >= 1,
+                 ">= 1"),
                 ("residual_tol", self.residual_tol > 0, "> 0"),
                 ("seed", isinstance(self.seed, Integral), "an integer"),
-                ("seed", self.seed >= 0, ">= 0"),
+                ("seed", isinstance(self.seed, Integral) and self.seed >= 0, ">= 0"),
                 ("noise", self.noise >= 0, ">= 0"),
                 ("noise", self.noise == 0 or self.initial_state is None,
                  "0 with a supplied start")):

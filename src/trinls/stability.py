@@ -49,9 +49,10 @@ def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
             ("eps", eps, eps is None or 0 < eps < np.inf, "finite and > 0 when given"),
             ("sample_every", sample_every, isinstance(sample_every, Integral),
              "an integer"),
-            ("sample_every", sample_every, sample_every > 0, "> 0"),
+            ("sample_every", sample_every,
+             isinstance(sample_every, Integral) and sample_every > 0, "> 0"),
             ("seed", seed, isinstance(seed, Integral), "an integer"),
-            ("seed", seed, seed >= 0, ">= 0")):
+            ("seed", seed, isinstance(seed, Integral) and seed >= 0, ">= 0")):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -60,11 +61,12 @@ def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
 class StabilityReport:
     """Outcome of one perturb-evolve-measure run.
 
-    verdict is "bounded" iff sup_distance <= eps; "blow_up" marks NaN
-    detection (sup over the partial trajectory).  orbit_drift_flag is a
-    heuristic marker: the distance fell well below its running peak late in
-    the run, which can mean the trajectory drifted toward a different
-    minimizer, so the reported distances over-estimate.
+    distances holds the orbital distance at each of trace.times.  verdict
+    is "bounded" iff sup_distance <= eps; "blow_up" marks NaN detection (sup
+    over the partial trajectory).  orbit_drift_flag is a heuristic marker:
+    the distance fell well below its running peak late in the run, which can
+    mean the trajectory drifted toward a different minimizer, so the
+    reported distances over-estimate.
     """
 
     delta: float
@@ -74,6 +76,7 @@ class StabilityReport:
     sup_distance: float
     verdict: str
     trace: EvolutionTrace
+    distances: np.ndarray
     orbit_drift_flag: bool = False
 
 
@@ -203,10 +206,10 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
 
     eps defaults to 20 * delta (for the delta = 0 control, to the scheme
     error allowance instead).  The returned trace records the drifts only at
-    the sampled times (t = 0, every `sample_every` steps and the last step)
-    and has orbital_distance filled there, each distance measured in the
-    hook `evolve` calls with the sampled state.  A blow-up during
-    evolution yields verdict "blow_up" with the partial trajectory.
+    the sampled times (t = 0, every `sample_every` steps and the last step),
+    and the report's distances are taken there, each measured in the hook
+    `evolve` calls with the sampled state.  A blow-up during evolution
+    yields verdict "blow_up" with the partial trajectory.
     ValueError: an argument out of range or a step count or the seed not an
     integer (`check_stability_args`, `evolve`).
     """
@@ -224,10 +227,10 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
         trace = err.trace
         blew_up = True
 
-    trace.orbital_distance = dists = np.array(dists)
+    dists = np.array(dists)
     sup = float(dists.max())
     verdict = "blow_up" if blew_up else ("bounded" if sup <= eps else "escaped")
     return StabilityReport(
         delta=delta, eps=float(eps), kind=kind, seed=seed,
         sup_distance=sup, verdict=verdict,
-        trace=trace, orbit_drift_flag=_drift_reversal(dists))
+        trace=trace, distances=dists, orbit_drift_flag=_drift_reversal(dists))

@@ -304,6 +304,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot make output directory {out}")
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("evolve", "snapshots"), ("solve", "groundstate.json")])
+    def test_output_file_cannot_be_written(self, tmp_path, capsys, command,
+                                           blocked):
+        # a file where the snapshot folder goes, a folder where a file goes
+        out = tmp_path / "o"
+        out.mkdir()
+        if command == "evolve":
+            (out / blocked).write_text("")
+            (tmp_path / "p.csv").write_text(profile_text())
+            argv = ["evolve", "--config", write_config(tmp_path, BASE + EVOLVE_EXTRA),
+                    "--profile", str(tmp_path / "p.csv")]
+        else:
+            (out / blocked).mkdir()
+            argv = ["solve", "--config", write_config(tmp_path)]
+        assert main(argv + ["--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert str(out / blocked) in err
+
 
 class TestSolve:
     def test_single_component_preset(self, tmp_path):
@@ -695,6 +715,38 @@ class TestSnapshotWriter:
         with pytest.raises(ProcessLookupError):  # the writer is gone too
             os.killpg(proc.pid, 0)
 
+    def test_writer_that_dies_is_reported(self, tmp_path, run):
+        # the worker ends with os._exit before it writes a file, so it
+        # raises nothing the parent could be sent
+        _, cfg, profile = run
+        script = (
+            "import os, sys\n"
+            "from trinls import cli\n"
+            "parent, write = os.getpid(), cli._write_csv\n"
+            "def dying(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(7)\n"
+            "    write(*args, **kwargs)\n"
+            "cli._write_csv = dying\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "evolve", "--config", cfg,
+             "--profile", str(profile), "--out", str(tmp_path / "o"), "--quiet"],
+            env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 1
+        assert "config error: snapshot writer failed" in err
+        assert "Traceback" not in err
+        with pytest.raises(ProcessLookupError):  # the worker is gone too
+            os.killpg(proc.pid, 0)
+
     def test_no_writer_without_snapshots(self, tmp_path, run, monkeypatch):
         from trinls import cli
 
@@ -847,11 +899,10 @@ class TestStability:
 
         def blown(gs, model, kind, delta, T, dt, sample_every, eps, seed):
             trace = t.EvolutionTrace(times=np.zeros(1), energy_drift=np.zeros(1),
-                                     mass_drifts=np.zeros((1, 3)),
-                                     orbital_distance=np.zeros(1))
+                                     mass_drifts=np.zeros((1, 3)))
             return t.StabilityReport(delta=delta, eps=1.0, kind=kind, seed=seed,
                                      sup_distance=0.0, verdict="blow_up",
-                                     trace=trace)
+                                     trace=trace, distances=np.zeros(1))
 
         monkeypatch.setattr(cli, "stability_experiment", blown)
         cfg = write_config(tmp_path, STAB_CFG, name="stab.ini")

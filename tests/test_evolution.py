@@ -244,8 +244,7 @@ class TestRecordEvery:
                                       "mass_preserving_random", **kw)
         rows = recorded_steps(350, 100)
         assert sampled.trace.times.tobytes() == full.trace.times[rows].tobytes()
-        assert (sampled.trace.orbital_distance.tobytes()
-                == full.trace.orbital_distance.tobytes())
+        assert sampled.distances.tobytes() == full.distances.tobytes()
         assert sampled.sup_distance == full.sup_distance
         assert sampled.verdict == full.verdict == "bounded"
         assert (sampled.trace.energy_drift.tobytes()
@@ -530,9 +529,11 @@ class TestArgumentCheck:
             t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, snapshot_every=5)
 
     @pytest.mark.parametrize("name, value", [
-        ("snapshot_every", 1.5), ("snapshot_every", 2.0), ("record_every", 2.5)])
+        ("snapshot_every", 1.5), ("snapshot_every", 2.0), ("snapshot_every", "3"),
+        ("record_every", 2.5)])
     def test_step_count_not_an_integer(self, gs_equal, model_ones, name, value):
-        # not snapshots every 1.5 steps, nor a TypeError from range
+        # not snapshots every 1.5 steps, nor a TypeError from range or from
+        # the range rule's comparison
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             t.evolve(gs_equal.profile, 0.01, 1e-3, model_ones, **{name: value})
 

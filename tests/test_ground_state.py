@@ -152,8 +152,9 @@ class TestSolverContracts:
         assert abs(t.energy(state, model_ones) + 4 / 3) <= 1e-3
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("seed", -1),
-        ("seed", 1.5), ("noise", -1.0), ("noise", float("nan"))])
+        ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "5"),
+        ("seed", -1), ("seed", 1.5), ("seed", None), ("noise", -1.0),
+        ("noise", float("nan"))])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             t.SolverConfig(**{field: value})

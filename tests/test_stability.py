@@ -203,6 +203,11 @@ class TestPerturb:
         with pytest.raises(ValueError, match="^kind must be one of"):
             t.perturb(gs_equal.profile, "nope", 1e-3)
 
+    def test_seed_not_an_integer(self, gs_equal):
+        # a ValueError, not a TypeError from the seed's range rule
+        with pytest.raises(ValueError, match="^seed must be an integer, got '3'"):
+            t.perturb(gs_equal.profile, "random_h1", 1e-3, seed="3")
+
     @pytest.mark.parametrize("amplitude", [-1e-3, float("nan"), float("inf")])
     def test_amplitude_out_of_range(self, gs_equal, amplitude):
         # inf fails here, not later as "field contains non-finite samples"
@@ -267,7 +272,7 @@ class TestExperiment:
             t.stability_experiment(gs_equal, model_ones, "mass_preserving_random",
                                    1e-3, T=0.01, dt=1e-3, sample_every=5, eps=eps)
 
-    @pytest.mark.parametrize("sample_every", [2.5, 5.0])
+    @pytest.mark.parametrize("sample_every", [2.5, 5.0, "2"])
     def test_sample_every_not_an_integer(self, gs_equal, model_ones, sample_every):
         with pytest.raises(ValueError, match="^sample_every must be an integer"):
             t.stability_experiment(gs_equal, model_ones, "mass_preserving_random",
