@@ -37,15 +37,14 @@ with per-sweep mass renormalization and multiplier re-extraction up to the
 residual target; one guard (every active multiplier positive) and one sweep
 budget end it with `DivergenceError` otherwise.
 
-Also here: the two-component reduced problem, the concentration (window-mass)
-diagnostic, and the subadditivity margin check.
+Also here: the subadditivity margin check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -129,16 +128,6 @@ class GroundState:
     @property
     def grid(self) -> Grid:
         return self.profile.grid
-
-
-@dataclass(frozen=True)
-class ConcentrationProfile:
-    """Largest window mass P(eta) per half-width eta, plus the compactness
-    proxy P(max eta) / total mass."""
-
-    etas: tuple
-    values: tuple
-    gamma_proxy: float
 
 
 @dataclass(frozen=True)
@@ -366,62 +355,6 @@ def refine_fixed_point(state: State, model: CouplingModel,
             return _package(u, w, res, sweeps, a, p, m, live, grid, [])
     raise DivergenceError(f"no fixed-point convergence in {_MAX_SWEEPS} sweeps "
                           f"(residual {res:.3e}, target {target:.1e})")
-
-
-def two_component_min(alpha1: float, alpha2: float, beta: float,
-                      a1: float, a2: float, grid: Grid,
-                      cfg: SolverConfig = SolverConfig(),
-                      p: float = 2.0) -> GroundState:
-    """Reduced two-component problem: minimize
-
-        F(f, g) = ||f'||^2 + ||g'||^2
-                  - (1/p)(alpha1 |f|_{2p}^{2p} + alpha2 |g|_{2p}^{2p}
-                          + 2 beta |f g|_p^p)
-
-    over ||f||^2 = a1, ||g||^2 = a2 (masses a1, a2).  Realized as the full
-    problem with couplings (a11, a22, a12) = (alpha1, alpha2, beta) and the
-    third mass zero, whose couplings the solver never reads.  Both converged
-    components are positive up to a constant phase (checked by the test
-    suite, not assumed here).
-    """
-    if min(alpha1, alpha2, beta, a1, a2) <= 0:
-        raise ValueError("all parameters of the reduced problem must be positive")
-    a = np.array([[alpha1, beta, 1.0],
-                  [beta, alpha2, 1.0],
-                  [1.0, 1.0, 1.0]])
-    model = CouplingModel(a=a, p=p)
-    return minimize(model, MassTriple(a1, a2, 0.0), grid, cfg)
-
-
-def concentration(state: State, etas: Sequence[float]) -> ConcentrationProfile:
-    """Concentration function: P(eta) = max over window centers y of the
-    mass of (|u1|^2 + |u2|^2 + |u3|^2) in [y - eta, y + eta].
-
-    Window centers range over grid nodes; windows wrap periodically and are
-    capped at the whole box.  Values are non-decreasing in eta.
-    """
-    grid = state.grid
-    h = grid.spacing
-    n = grid.n
-    u = state.stack()
-    rho = np.sum(np.abs(u) ** 2, axis=0)
-    total = float(h * np.sum(rho))
-    etas_sorted = tuple(sorted(float(e) for e in etas))
-    if not etas_sorted:
-        raise ValueError("at least one window half-width is needed")
-    if etas_sorted[0] < 0:
-        raise ValueError("window half-widths must be non-negative")
-    ext = np.concatenate([rho, rho])
-    cs = np.concatenate([[0.0], np.cumsum(ext)])
-    values = []
-    for eta in etas_sorted:
-        wsteps = int(np.floor(eta / h + 1e-12))
-        width = min(2 * wsteps + 1, n)
-        sums = cs[width:width + n] - cs[:n]
-        values.append(float(h * sums.max()))
-    gamma = values[-1] / total if total > 0 else 0.0
-    return ConcentrationProfile(etas=etas_sorted, values=tuple(values),
-                                gamma_proxy=float(gamma))
 
 
 def subadditivity_check(model: CouplingModel, part1: MassTriple,

@@ -13,9 +13,9 @@ Gradient convention: the first variation of H along a perturbation d is
     G_j = -u_j'' - (sum_k a_kj |u_k|^p) |u_j|^{p-2} u_j ,
 
 so a constrained minimizer satisfies G_j + w_j u_j = 0, where the w_j are the
-Lagrange multipliers of the three mass constraints.  The closed forms (sech,
-two-component and equal-coupling profiles, single-component minimum values)
-and a finite-difference check of G are provided as oracles.
+Lagrange multipliers of the three mass constraints.  The oracles that
+`trinls validate` runs are here too: the sech profile, the single-component
+minimum values and a finite-difference check of G.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .spectral import (Field, Grid, integrate, mass, require_same_grid,
-                       spectral_derivative, translate)
+from .spectral import Field, Grid, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -209,12 +208,6 @@ def energy(state: State, model: CouplingModel) -> float:
     return _energy_array(state.stack(), state.grid, model.a, model.p)
 
 
-def energy_gradient(state: State, model: CouplingModel) -> State:
-    """Gradient G with dH(state)[d] = 2*Re<G, d>_{L^2}."""
-    G = _gradient_array(state.stack(), state.grid, model.a, model.p)
-    return State.from_array(state.grid, G)
-
-
 def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
     """Extract (w1, w2, w3) from the multiplier identity.
 
@@ -260,54 +253,6 @@ def single_component_minimum(m: float) -> tuple:
 SINGLE_COMPONENT_BOXES = {1.0: (2048, 160.0), 2.0: (1024, 80.0), 4.0: (1024, 40.0)}
 
 
-def two_component_profile(omega: float, beta: float, grid: Grid):
-    """Explicit equal pair for p=2, a11=a22=1, a12=beta > -1.
-
-    Both components equal sqrt(2*omega/(1+beta)) * sech(sqrt(omega) x).
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if beta <= -1:
-        raise ValueError("beta must exceed -1")
-    x = grid.nodes
-    phi = np.sqrt(2 * omega / (1 + beta)) / np.cosh(np.sqrt(omega) * x)
-    return Field(grid, phi), Field(grid, phi.copy())
-
-
-def apply_symmetry(state: State, shift: float = 0.0, boost: float = 0.0,
-                   phases=(0.0, 0.0, 0.0)) -> State:
-    """Apply the symmetry group at t = 0:  u_j -> e^{i boost x + i b_j} u_j(x - shift).
-
-    Whole-grid-step shifts are exact permutations; other shifts use spectral
-    interpolation.
-    """
-    grid = state.grid
-    gal = np.exp(1j * (boost * grid.nodes))
-    out = []
-    for f, beta in zip((state.u1, state.u2, state.u3), phases):
-        g = translate(f, shift) if shift != 0.0 else f
-        out.append(Field(grid, np.exp(1j * beta) * gal * g.values))
-    return State(*out)
-
-
-def gn_ratio(f: Field, p: float) -> float:
-    """Interpolation ratio |f|_{2p}^{2p} / (||f'||^{p-1} ||f||^{p+1})."""
-    num = integrate(np.abs(f.values) ** (2 * p), f.grid)
-    l2, dl2 = np.sqrt(mass(f)), np.sqrt(mass(spectral_derivative(f)))
-    if l2 == 0 or dl2 == 0:
-        raise ValueError("ratio undefined for constant or zero fields")
-    return float(num / (dl2 ** (p - 1) * l2 ** (p + 1)))
-
-
-def gn_sharp_constant(p: float, grid: Grid) -> float:
-    """Sharp 1-D interpolation constant, calibrated on the extremal profile.
-
-    The ratio is invariant under amplitude scaling and dilation, so any
-    member of the sech family evaluates it.
-    """
-    return gn_ratio(sech_profile(1.0, 1.0, p, grid), p)
-
-
 def random_smooth_state(grid: Grid, rng, amplitude: float = 0.5) -> np.ndarray:
     """Localized smooth random (3, n) complex samples for diagnostics.
 
@@ -338,31 +283,3 @@ def gradient_fd_error(grid: Grid, model: CouplingModel, rng) -> float:
               - _energy_array(u - eps * d, grid, model.a, model.p)) / (2 * eps)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
     return worst
-
-
-@dataclass(frozen=True)
-class PhaseDiagnostics:
-    """Constancy-of-phase report for one component.
-
-    theta is the mass-weighted mean phase; max_deviation the largest phase
-    angle relative to theta over the support region (samples above
-    1e-10 * max|f|); min_aligned_real the smallest value of
-    Re(e^{-i theta} f) there (positive for a positive representative).
-    """
-
-    theta: float
-    max_deviation: float
-    min_aligned_real: float
-
-
-def phase_diagnostics(f: Field) -> PhaseDiagnostics:
-    v = f.values
-    mod = np.abs(v)
-    peak = mod.max()
-    if peak == 0.0:
-        raise ValueError("zero field has no phase")
-    support = mod > 1e-10 * peak
-    theta = float(np.angle(np.sum(mod[support] * v[support])))
-    aligned = v[support] * np.exp(-1j * theta)
-    max_dev = float(np.max(np.abs(np.angle(aligned))))
-    return PhaseDiagnostics(theta, max_dev, float(aligned.real.min()))

@@ -3,14 +3,17 @@
 The continuum problem lives on the whole real line; computations use a
 periodic box [-L/2, L/2) with L large enough that localized profiles decay
 below round-off at the boundary.  All derivatives are Fourier multipliers,
-quadrature is the rectangle rule (exact for trigonometric polynomials, and
-spectrally accurate for smooth decaying fields), and the symmetric decreasing
-rearrangement is realized as a deterministic permutation of samples.
+and quadrature is the rectangle rule h * sum(f) (exact for trigonometric
+polynomials, and spectrally accurate for smooth decaying fields).
 
 Conventions:
     nodes        x_m = -L/2 + m*h,  h = L/n,  m = 0..n-1
     wavenumbers  k in standard FFT order, 2*pi*fftfreq(n, h)
-    integrate(f) = h * sum(f)    and    mass(f) = integrate(|f|^2)
+
+`_rearrange_samples`, the symmetric decreasing rearrangement as a
+permutation of samples, has no caller in the library: the benchmark's traced
+run wraps it (through `ground_state`), and `oracles.rearrange` in the
+tests builds on it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -76,67 +78,12 @@ class Field:
         object.__setattr__(self, "values", _samples(self.grid, self.values, complex))
 
 
-@dataclass(frozen=True)
-class RealField:
-    """Non-negative real samples on a Grid (moduli and their rearrangements)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _samples(self.grid, self.values, float)
-        if np.any(v < 0):
-            raise ValueError("RealField requires non-negative samples")
-        object.__setattr__(self, "values", v)
-
-
 def require_same_grid(*grids: Grid) -> Grid:
     g0 = grids[0]
     for g in grids[1:]:
         if g != g0:
             raise ValueError(f"grid mismatch: {g0} vs {g}")
     return g0
-
-
-def integrate(values: np.ndarray, grid: Grid) -> float:
-    """Rectangle-rule integral h * sum(f) over the periodic box."""
-    return float(grid.spacing * np.sum(np.asarray(values, dtype=float)))
-
-
-def spectral_derivative(f: Field) -> Field:
-    """Fourier differentiation; exact for band-limited inputs."""
-    df = ifft(1j * f.grid.wavenumbers * fft(f.values))
-    return Field(f.grid, df)
-
-
-def mass(f: Field) -> float:
-    """L^2 mass of one component: integral of |f|^2."""
-    return integrate(np.abs(f.values) ** 2, f.grid)
-
-
-def h1_inner(f: Field, g: Field) -> complex:
-    """H^1 inner product: integral of f*conj(g) + f'*conj(g')."""
-    grid = require_same_grid(f.grid, g.grid)
-    k = grid.wavenumbers
-    # Parseval: h*sum(f conj(g)) = (h/n) * sum(F conj(G)); derivative adds k^2
-    fh = fft(f.values)
-    gh = fft(g.values)
-    s = np.sum((1.0 + k ** 2) * fh * np.conj(gh))
-    return complex(grid.spacing / grid.n * s)
-
-
-def translate(f: Field, shift: float) -> Field:
-    """Translate f(x) -> f(x - shift).
-
-    Whole-grid-step shifts are exact sample permutations; other shifts use
-    spectral interpolation (exact for band-limited fields).
-    """
-    grid = f.grid
-    steps = shift / grid.spacing
-    if abs(steps - round(steps)) < 1e-12:
-        return Field(grid, np.roll(f.values, int(round(steps)) % grid.n))
-    phase = np.exp(-1j * grid.wavenumbers * shift)
-    return Field(grid, ifft(phase * fft(f.values)))
 
 
 def _rearrange_samples(values: np.ndarray) -> np.ndarray:
@@ -158,13 +105,3 @@ def _rearrange_samples(values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     out[place] = values[order]
     return out
-
-
-def rearrange(f: RealField) -> RealField:
-    """Discrete symmetric decreasing rearrangement of a non-negative field.
-
-    The output takes the same sample values (exact equimeasurability for
-    every power sum), is even about the center up to the one-sample parity
-    artifact at -L/2, and is non-increasing in |x|.
-    """
-    return RealField(f.grid, _rearrange_samples(f.values))

@@ -686,8 +686,8 @@ class TestSnapshotWriter:
         assert f"snap_{bad:06d}.csv" in err and "BrokenPipe" not in err
 
     def test_interrupt_is_not_a_writer_failure(self, tmp_path, run):
-        # Ctrl-C reaches the whole process group: the writer ignores it and
-        # ends when the parent closes the pipe, so the parent's
+        # Ctrl-C reaches the whole process group: the pool's worker ignores
+        # SIGINT and ends at pool.shutdown(), so the parent's
         # KeyboardInterrupt is what the command reports
         _, _, profile = run
         cfg = write_config(tmp_path, WRITER_CFG.replace("t = 0.1", "t = 1000.0")

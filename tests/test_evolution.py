@@ -17,6 +17,8 @@ import trinls as t
 from trinls.stability import _y_norm
 from trinls.tolerances import DEFAULT as TOLS
 
+import oracles
+
 
 # asymmetric coupling of the wide command-line preset (p = 2.5, n = 4096)
 ASYMMETRIC_A = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
@@ -340,7 +342,7 @@ class TestConservation:
 
     def test_galilean_boost_speed(self, gs_equal, model_ones):
         sigma = 0.5
-        boosted = t.apply_symmetry(gs_equal.profile, boost=sigma)
+        boosted = oracles.apply_symmetry(gs_equal.profile, boost=sigma)
         T = 8.0
         snaps = Samples()
         trace = t.evolve(boosted, T, 1e-3, model_ones, snapshot_every=8000,

@@ -16,6 +16,8 @@ from trinls.ground_state import _project
 from trinls.model import _el_residual_array, _gradient_array, _multiplier_array
 from trinls.tolerances import DEFAULT as TOLS
 
+import oracles
+
 
 # coupling of the wide command-line preset (p = 2.5, n = 4096, L = 80)
 ASYMMETRIC_A = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
@@ -103,15 +105,15 @@ class TestSolverContracts:
         cfg = t.SolverConfig(noise=0.2, seed=11)
         gs = t.minimize(model_ones, t.MassTriple(1.0, 1.0, 1.0), grid40, cfg)
         for f in (gs.profile.u1, gs.profile.u2, gs.profile.u3):
-            diag = t.phase_diagnostics(f)
+            diag = oracles.phase_diagnostics(f)
             assert diag.max_deviation <= TOLS.phase_constancy
             assert diag.min_aligned_real > 0
 
     def test_translation_class(self, grid40, model_ones, gs_equal):
         # start from data shifted off-center: the flow converges to a
         # translate of the same profile
-        shifted = t.apply_symmetry(gs_equal.profile, shift=64 * grid40.spacing,
-                                   phases=(0.4, 1.0, -0.3))
+        shifted = oracles.apply_symmetry(gs_equal.profile, shift=64 * grid40.spacing,
+                                         phases=(0.4, 1.0, -0.3))
         cfg = t.SolverConfig(initial_state=shifted)
         gs = t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3), grid40, cfg)
         assert t.orbital_distance(gs.profile, gs_equal) <= TOLS.translation_class_ynorm
@@ -210,8 +212,8 @@ class TestMinimumValue:
 
         # a shifted, phase-rotated start takes another path to the minimum
         bumps = np.exp(-grid.nodes ** 2 / 8.0) * (m.as_array() > 0)[:, None]
-        start = t.apply_symmetry(t.State.from_array(grid, bumps.astype(complex)),
-                                 shift=64 * grid.spacing, phases=(0.4, 1.0, -0.3))
+        start = oracles.apply_symmetry(t.State.from_array(grid, bumps.astype(complex)),
+                                       shift=64 * grid.spacing, phases=(0.4, 1.0, -0.3))
         cfg = t.SolverConfig(initial_state=start)
         assert abs(t.minimize(model_ones, m, grid, cfg).lam - gs.lam) <= ULP
 
@@ -264,7 +266,7 @@ class TestRefineFixedPoint:
         psi = t.sech_profile(1.0, 1.0, 2.0, grid64)
         zero = t.Field(grid64, np.zeros(grid64.n, dtype=complex))
         state = t.State(psi, zero, zero)
-        masses = t.MassTriple(t.mass(psi), 0.0, 0.0)
+        masses = t.MassTriple(oracles.mass(psi), 0.0, 0.0)
         gs = t.refine_fixed_point(state, model_ones, masses)
         diff = np.max(np.abs(gs.profile.u1.values - psi.values))
         assert diff <= 1e-10
@@ -376,7 +378,7 @@ class TestFineGridPresets:
 
 class TestTwoComponentMin:
     def test_equal_coupling_closed_form(self, grid40):
-        gs = t.two_component_min(1.0, 1.0, 1.0, 2.0, 2.0, grid40)
+        gs = oracles.two_component_min(1.0, 1.0, 1.0, 2.0, 2.0, grid40)
         # oracle: both components sech(x), F = 2*(2/3) - (1/2)*(4*(4/3)) = -4/3
         assert abs(gs.lam + 4 / 3) <= TOLS.lambda_rel * (4 / 3)
         u = gs.profile.stack()
@@ -387,7 +389,7 @@ class TestTwoComponentMin:
         assert np.max(np.abs(np.abs(prof) - exact)) <= TOLS.profile_max_err
         # both components positive up to a constant phase
         for f in (gs.profile.u1, gs.profile.u2):
-            diag = t.phase_diagnostics(f)
+            diag = oracles.phase_diagnostics(f)
             assert diag.max_deviation <= TOLS.phase_constancy
             assert diag.min_aligned_real > 0
 
@@ -395,18 +397,18 @@ class TestTwoComponentMin:
         # single-component closed form with coupling alpha: -alpha^2 m^3 / 48
         alpha1, alpha2 = 1.3, 0.8
         m1, m2 = 1.5, 2.0
-        gs = t.two_component_min(alpha1, alpha2, 0.01, m1, m2, grid40)
+        gs = oracles.two_component_min(alpha1, alpha2, 0.01, m1, m2, grid40)
         singles = -(alpha1 ** 2 * m1 ** 3 + alpha2 ** 2 * m2 ** 3) / 48
         assert gs.lam <= singles + 1e-6
 
     def test_rejects_nonpositive_parameters(self, grid40):
         with pytest.raises(ValueError):
-            t.two_component_min(1.0, 1.0, 0.0, 2.0, 2.0, grid40)
+            oracles.two_component_min(1.0, 1.0, 0.0, 2.0, 2.0, grid40)
 
 
 class TestConcentration:
     def test_centered_ground_state_captures_all(self, gs_equal):
-        prof = t.concentration(gs_equal.profile, [gs_equal.grid.length / 2])
+        prof = oracles.concentration(gs_equal.profile, [gs_equal.grid.length / 2])
         assert prof.gamma_proxy == pytest.approx(1.0, abs=1e-12)
 
     def test_two_bump_dichotomy_signature(self, grid40):
@@ -416,16 +418,16 @@ class TestConcentration:
                       np.zeros_like(x, dtype=complex)])
         S = t.State.from_array(grid40, u)
         total = S.masses().sum()
-        prof = t.concentration(S, [3.0])
+        prof = oracles.concentration(S, [3.0])
         assert prof.values[0] == pytest.approx(total / 2, rel=2e-3)
 
     def test_rejects_empty_etas(self, gs_equal):
         with pytest.raises(ValueError, match="at least one window half-width"):
-            t.concentration(gs_equal.profile, [])
+            oracles.concentration(gs_equal.profile, [])
 
     def test_monotone_in_eta(self, gs_equal, rng):
         etas = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-        prof = t.concentration(gs_equal.profile, etas)
+        prof = oracles.concentration(gs_equal.profile, etas)
         vals = np.array(prof.values)
         assert np.all(np.diff(vals) >= 0)
         total = gs_equal.masses_achieved.total
