@@ -10,8 +10,8 @@ Subcommands
 
 Config files are INI-style key = value text, read strictly against one
 schema table (`_SCHEMA`) that only converts: unknown sections or keys are
-rejected, physics parameters have no defaults, solver knobs do, floats must
-be finite.  The code that takes a value checks its range, at load time, and
+rejected, physics parameters have no defaults, solver knobs do.  The code
+that takes a value checks its type, finiteness and range at load time, and
 every error names its section.key.  Accepted values (see README):
 
     [grid]      n (power of two >= 16), length > 0
@@ -96,12 +96,12 @@ class RunConfig:
 
 
 def _splits(raw: str) -> tuple:
-    """`r,s,t ; r,s,t ...` as a tuple of finite float triples."""
+    """`r,s,t ; r,s,t ...` as a tuple of float triples."""
     splits = tuple(tuple(float(c) for c in part.split(","))
                    for part in raw.split(";") if part.strip())
     for split in splits:
-        if len(split) != 3 or not all(map(math.isfinite, split)):
-            raise ValueError(f"entry {split} is not a finite r,s,t triple")
+        if len(split) != 3:
+            raise ValueError(f"entry {split} is not an r,s,t triple")
     if not splits:
         raise ValueError("no split given")
     return splits
@@ -116,7 +116,7 @@ def _ints(raw: str) -> tuple:
 
 # section -> (section required, {key -> (converter, default)}); a `...`
 # default marks a required key.  The rows only convert: the code taking a
-# value checks its range (see load_config).  Solver defaults are SolverConfig's.
+# value checks it (see load_config).  Solver defaults are SolverConfig's.
 _SCHEMA = {
     "grid": (True, {"n": (int, ...), "length": (float, ...)}),
     "coupling": (True, {k: (float, ...) for k in
@@ -150,21 +150,18 @@ def _read_section(name: str, raw) -> dict:
             values[key] = default
             continue
         try:
-            value = conv(text)
+            values[key] = conv(text)
         except ValueError as err:
             raise ConfigError(f"invalid value for {what}: {err}") from err
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"invalid value for {what}: {text!r} is not finite")
-        values[key] = value
     return values
 
 
 def _build(prefix: str, factory, **kwargs):
-    """factory(**kwargs); its ValueError, or MemoryError (a grid too large to
-    allocate), becomes a ConfigError that starts with `prefix` (what was built)."""
+    """factory(**kwargs); its ValueError, led by the argument's name, becomes
+    a ConfigError that starts with `prefix` (the section, or what was built)."""
     try:
         return factory(**kwargs)
-    except (ValueError, MemoryError) as err:
+    except ValueError as err:
         raise ConfigError(f"{prefix}{err}") from err
 
 
@@ -204,11 +201,15 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     a = np.array([[c["a11"], c["a12"], c["a13"]],
                   [c["a12"], c["a22"], c["a23"]],
                   [c["a13"], c["a23"], c["a33"]]])
-    grid = _build("grid: ", make_grid, **sec["grid"])
-    model = _build("coupling: ", CouplingModel, a=a, p=c["p"])
-    masses = _build("masses: ", MassTriple, **sec["masses"])
+    try:
+        grid = _build("grid.", make_grid, **sec["grid"])
+    except MemoryError as err:  # a grid too large to allocate
+        raise ConfigError(f"grid: {err}") from err
+    model = _build("coupling.", CouplingModel, a=a, p=c["p"])
+    masses = _build("masses.", MassTriple, **sec["masses"])
     splits = sec["subadd"] and tuple(
-        _build(f"invalid split {s}: ", _split_parts, split=s, total=masses)
+        _build(f"subadd.splits: invalid split {s}: ", _split_parts, split=s,
+               total=masses)
         for s in sec["subadd"]["splits"])
 
     knobs = sec["solver"]

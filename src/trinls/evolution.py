@@ -32,14 +32,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import fft, ifft
 
 from .model import CouplingModel, State, _coefficients, _energy_array
-from .spectral import Grid
+from .spectral import Grid, check_args, is_finite, is_integer
 
 
 class BlowUpError(RuntimeError):
@@ -107,21 +106,14 @@ def _strang(v: np.ndarray, half: np.ndarray, dt: float, model: CouplingModel,
 
 def check_evolve_args(t: float, dt: float, snapshot_every: int = 0,
                       record_every: int = 1) -> None:
-    """Raise ValueError, led by its name, for the first argument out of range
-    or, for a step count, not an integer."""
-    for name, value, ok, rule in (
-            ("dt", dt, math.isfinite(dt) and dt != 0, "finite and non-zero"),
-            ("t", t, 0 <= t <= sys.maxsize * abs(dt), "in [0, sys.maxsize * |dt|]"),
-            ("snapshot_every", snapshot_every, isinstance(snapshot_every, Integral),
-             "an integer"),
-            ("snapshot_every", snapshot_every,
-             isinstance(snapshot_every, Integral) and snapshot_every >= 0, ">= 0"),
-            ("record_every", record_every, isinstance(record_every, Integral),
-             "an integer"),
-            ("record_every", record_every,
-             isinstance(record_every, Integral) and record_every > 0, "> 0")):
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    """Raise ValueError, led by the argument's name, at the first rule broken."""
+    check_args(("dt", dt, lambda dt: is_finite(dt) and dt != 0, "finite and non-zero"),
+               ("t", t, lambda t: is_finite(t) and 0 <= t <= sys.maxsize * abs(dt),
+                "in [0, sys.maxsize * |dt|]"),
+               ("snapshot_every", snapshot_every, is_integer, "an integer"),
+               ("snapshot_every", snapshot_every, lambda every: every >= 0, ">= 0"),
+               ("record_every", record_every, is_integer, "an integer"),
+               ("record_every", record_every, lambda every: every > 0, "> 0"))
 
 
 def step(state: State, dt: float, model: CouplingModel) -> State:
@@ -172,14 +164,13 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     every recorded step its energy, which can overflow first (p > 2); either
     raises BlowUpError there with the trace of the rows recorded before it,
     after the samples before it have gone to the hook.
-    ValueError: an argument out of range or a step count not an integer
+    ValueError: an argument of the wrong type, not finite or out of range
     (`check_evolve_args`, which calls T t), or snapshot_every > 0 without a
     hook.
     """
     check_evolve_args(T, dt, snapshot_every, record_every)
-    if snapshot_every > 0 and sample is None:
-        raise ValueError(f"snapshot_every must be 0 without a sample hook, "
-                         f"got {snapshot_every!r}")
+    check_args(("snapshot_every", snapshot_every,
+                lambda n: n == 0 or sample is not None, "0 without a sample hook"))
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
     recorded = list(range(0, nsteps + 1, record_every))

@@ -43,7 +43,6 @@ Also here: the subadditivity margin check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -52,8 +51,8 @@ from scipy.fft import fft, ifft
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
                     _multiplier_array, _nonlinearity)
-# _rearrange_samples is unused here; bench/tracing.py wraps it by this path
-from .spectral import Grid, _rearrange_samples  # noqa: F401
+from .spectral import Grid, check_args, is_finite, is_integer
+from .spectral import _rearrange_samples  # noqa: F401 (bench/tracing.py wraps it here)
 from .tolerances import DEFAULT as TOLS
 
 
@@ -94,18 +93,16 @@ class SolverConfig:
     noise: float = 0.0
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("max_iters", isinstance(self.max_iters, Integral), "an integer"),
-                ("max_iters", isinstance(self.max_iters, Integral) and self.max_iters >= 1,
-                 ">= 1"),
-                ("residual_tol", self.residual_tol > 0, "> 0"),
-                ("seed", isinstance(self.seed, Integral), "an integer"),
-                ("seed", isinstance(self.seed, Integral) and self.seed >= 0, ">= 0"),
-                ("noise", self.noise >= 0, ">= 0"),
-                ("noise", self.noise == 0 or self.initial_state is None,
-                 "0 with a supplied start")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_args(("max_iters", self.max_iters, is_integer, "an integer"),
+                   ("max_iters", self.max_iters, lambda n: n >= 1, ">= 1"),
+                   ("residual_tol", self.residual_tol,
+                    lambda tol: is_finite(tol) and tol > 0, "finite and > 0"),
+                   ("seed", self.seed, is_integer, "an integer"),
+                   ("seed", self.seed, lambda seed: seed >= 0, ">= 0"),
+                   ("noise", self.noise, lambda x: is_finite(x) and x >= 0,
+                    "finite and >= 0"),
+                   ("noise", self.noise, lambda x: x == 0 or self.initial_state is None,
+                    "0 with a supplied start"))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .spectral import Field, Grid, require_same_grid
+from .spectral import Field, Grid, check_args, is_finite, require_same_grid
+
+
+def _exponent_rule(p) -> tuple:
+    """The `check_args` rule on the exponent p: 2 <= p < 3."""
+    return ("p", p, lambda p: is_finite(p) and 2 <= p < 3, "in [2, 3)")
 
 
 @dataclass(frozen=True)
@@ -36,16 +41,12 @@ class CouplingModel:
     p: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (3, 3):
-            raise ValueError(f"coupling matrix must be 3x3, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("coupling matrix must be symmetric")
-        if not np.all(a > 0):
-            raise ValueError("couplings must all be positive (attractive case)")
-        if not (2.0 <= self.p < 3.0):
-            raise ValueError(f"exponent p must lie in [2, 3), got {self.p}")
-        a = a.copy()
+        a = np.array(self.a, dtype=float)
+        check_args(("a", a.shape, lambda shape: shape == (3, 3), "of shape (3, 3)"))
+        check_args(*((f"a{k + 1}{j + 1}", float(v), lambda v: 0 < v < np.inf,
+                      "finite and > 0") for (k, j), v in np.ndenumerate(a)),
+                   ("a", a.tolist(), lambda v: np.array_equal(v, a.T), "symmetric"),
+                   _exponent_rule(self.p))
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -59,10 +60,9 @@ class MassTriple:
     t: float
 
     def __post_init__(self):
-        if min(self.r, self.s, self.t) < 0:
-            raise ValueError("masses must be non-negative")
-        if self.total <= 0:
-            raise ValueError("at least one mass must be positive")
+        check_args(*((name, getattr(self, name), lambda m: is_finite(m) and m >= 0,
+                      "finite and >= 0") for name in ("r", "s", "t")),
+                   ("t", self.t, lambda t: self.r + self.s + t > 0, "> 0 if r = s = 0"))
 
     @property
     def total(self) -> float:
@@ -231,10 +231,8 @@ def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:
 
     psi(x) = (sigma*p/a)^(1/(2p-2)) * sech^(2/(2p-2))( sqrt(sigma)*(2p-2)*x/2 ).
     """
-    if sigma <= 0 or a <= 0:
-        raise ValueError("sigma and a must be positive")
-    if not (2.0 <= p < 3.0):
-        raise ValueError(f"exponent p must lie in [2, 3), got {p}")
+    check_args(*((name, v, lambda v: is_finite(v) and v > 0, "finite and > 0")
+                  for name, v in (("sigma", sigma), ("a", a))), _exponent_rule(p))
     x = grid.nodes
     amp = (sigma * p / a) ** (1.0 / (2 * p - 2))
     arg = np.sqrt(sigma) * (2 * p - 2) * x / 2

@@ -19,8 +19,27 @@ tests builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
+
+
+def check_args(*rules) -> None:
+    """Raise ValueError(f"{name} must be {text}, got {value!r}") at the first
+    rule (name, value, test, text) with a false test(value).  Each test runs
+    after every rule before it has passed: a type rule guards the later ones."""
+    for name, value, test, text in rules:
+        if not test(value):
+            raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+def is_integer(x) -> bool:
+    return isinstance(x, Integral)
+
+
+def is_finite(x) -> bool:
+    """x is a real number, neither infinite nor NaN."""
+    return isinstance(x, Real) and -np.inf < x < np.inf
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,15 +61,14 @@ class Grid:
 def make_grid(n: int, length: float) -> Grid:
     """Build a periodic grid with nodes centered at 0.
 
-    n must be a power of two with n >= 16; length must be positive, with a
-    spacing length / n that does not underflow to 0.
+    n must be an integer power of two with n >= 16; length must be finite
+    and positive, with a spacing length / n that does not underflow to 0.
     """
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 16, got n={n}")
+    check_args(("n", n, is_integer, "an integer"),
+               ("n", n, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
+               ("length", length, lambda length: is_finite(length) and length / n > 0,
+                f"finite, with length / {n} > 0"))
     h = length / n
-    if not h > 0:
-        raise ValueError(f"domain length must be positive, got {length} "
-                         f"(spacing {h})")
     x = -length / 2 + h * np.arange(n)
     k = 2 * np.pi * np.fft.fftfreq(n, d=h)
     return Grid(n=n, length=float(length), spacing=h,

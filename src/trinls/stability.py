@@ -24,7 +24,6 @@ blow_up verdict against a threshold eps (default 20 * perturbation size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,7 @@ from scipy.fft import fft, ifft
 from .evolution import BlowUpError, EvolutionTrace, evolve
 from .ground_state import GroundState, _project
 from .model import CouplingModel, State
-from .spectral import require_same_grid
+from .spectral import check_args, is_finite, is_integer, require_same_grid
 from .tolerances import DEFAULT as TOLS
 
 PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
@@ -41,20 +40,16 @@ PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
 
 def check_stability_args(kind: str, delta: float, eps: Optional[float] = None,
                          sample_every: int = 1, seed: int = 0) -> None:
-    """Raise ValueError, led by its name, for the first argument out of range
-    or, for a step count or the seed, not an integer."""
-    for name, value, ok, rule in (
-            ("kind", kind, kind in PERTURBATION_KINDS, f"one of {PERTURBATION_KINDS}"),
-            ("delta", delta, 0 <= delta < np.inf, "finite and >= 0"),
-            ("eps", eps, eps is None or 0 < eps < np.inf, "finite and > 0 when given"),
-            ("sample_every", sample_every, isinstance(sample_every, Integral),
-             "an integer"),
-            ("sample_every", sample_every,
-             isinstance(sample_every, Integral) and sample_every > 0, "> 0"),
-            ("seed", seed, isinstance(seed, Integral), "an integer"),
-            ("seed", seed, isinstance(seed, Integral) and seed >= 0, ">= 0")):
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    """Raise ValueError, led by the argument's name, at the first rule broken."""
+    check_args(("kind", kind, lambda kind: kind in PERTURBATION_KINDS,
+                f"one of {PERTURBATION_KINDS}"),
+               ("delta", delta, lambda d: is_finite(d) and d >= 0, "finite and >= 0"),
+               ("eps", eps, lambda e: e is None or is_finite(e) and e > 0,
+                "finite and > 0 when given"),
+               ("sample_every", sample_every, is_integer, "an integer"),
+               ("sample_every", sample_every, lambda every: every > 0, "> 0"),
+               ("seed", seed, is_integer, "an integer"),
+               ("seed", seed, lambda seed: seed >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -210,8 +205,8 @@ def stability_experiment(ground: GroundState, model: CouplingModel, kind: str,
     and the report's distances are taken there, each measured in the hook
     `evolve` calls with the sampled state.  A blow-up during evolution
     yields verdict "blow_up" with the partial trajectory.
-    ValueError: an argument out of range or a step count or the seed not an
-    integer (`check_stability_args`, `evolve`).
+    ValueError: an argument of the wrong type, not finite or out of range
+    (`check_stability_args`, `evolve`).
     """
     check_stability_args(kind, delta, eps, sample_every, seed)
     if eps is None:

@@ -80,7 +80,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, BASE.replace("p = 2.0", "p = 3.5"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "coupling" in err and "exponent" in err
+        assert err == "config error: coupling.p must be in [2, 3), got 3.5\n"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[solver]\nbogus = 1\n")
@@ -233,6 +233,63 @@ class TestConfigValidation:
             assert isinstance(load_config(str(path)), RunConfig)
         except ConfigError as err:
             assert section in str(err)
+
+    @pytest.mark.parametrize("section, key", [
+        (s, k) for s, (_, rows) in _SCHEMA.items() for k, (conv, _) in rows.items()
+        if conv in (int, float)])
+    @given(text=st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e309"]),
+                          st.integers().map(str), st.floats().map(str)))
+    @example(text="nan")
+    @example(text="inf")
+    @example(text="-inf")
+    @example(text="1e309")
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_cli_rejects_what_the_library_rejects(self, tmp_path_factory, section,
+                                                  key, text):
+        """A drawn value of a numeric key in an otherwise valid config (no
+        [subadd], whose splits depend on [masses]): load_config raises a
+        ConfigError exactly when the library code that takes the section,
+        called with the converted values, raises a ValueError led by an
+        argument's name, and its message is that one behind `section.`;
+        otherwise the config loads.  The name is any key of the section,
+        since a drawn dt can break t's rule."""
+        rows = _SCHEMA[section][1]
+        values = {k: rows[k][0](v) for k, v in FULL_CFG[section].items()}
+        sections = {name: dict(rows) for name, rows in FULL_CFG.items()
+                    if name != "subadd"}
+        sections[section][key] = text
+        path = tmp_path_factory.getbasetemp() / f"agree-{section}-{key}.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+            for name, rows in sections.items()))
+        try:
+            values[key] = rows[key][0](text)
+        except ValueError:  # not a number: the schema's own error
+            with pytest.raises(ConfigError, match=f"^invalid value for {section}.{key}: "):
+                load_config(str(path))
+            return
+        if key == "n":
+            assume(values["n"] <= 2 ** 16)   # make_grid allocates n nodes
+        owner = {
+            "grid": lambda: t.make_grid(**values),
+            "coupling": lambda: t.CouplingModel(np.array(
+                [[values[f"a{min(k, j)}{max(k, j)}"] for j in (1, 2, 3)]
+                 for k in (1, 2, 3)]), values["p"]),
+            "masses": lambda: t.MassTriple(**values),
+            "solver": lambda: t.SolverConfig(**values),
+            "evolution": lambda: check_evolve_args(**values),
+            "stability": lambda: check_stability_args(
+                **{k: v for k, v in values.items() if k != "seeds"}),
+        }[section]
+        try:
+            owner()
+        except ValueError as err:
+            assert str(err).split(" ")[0] in rows, err   # led by a key's name
+            with pytest.raises(ConfigError) as info:
+                load_config(str(path))
+            assert str(info.value) == f"{section}.{err}"
+            return
+        assert isinstance(load_config(str(path)), RunConfig)
 
     @pytest.mark.parametrize("section, line", [
         ("solver", "rearrange_every = 25"),
@@ -834,7 +891,8 @@ class TestSubadd:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid split (9.0, 0.0, 0.0): ")
+        assert err == ("config error: subadd.splits: invalid split (9.0, 0.0, 0.0): "
+                       "exceeds total masses\n")
         assert "exceeds total masses" in err
         assert not (tmp_path / "o").exists()
 

@@ -146,6 +146,19 @@ class TestSolverContracts:
             with pytest.raises(t.StepCollapseError, match="iteration 0"):
                 t.minimize(model_ones, t.MassTriple(1e300, 0.0, 0.0), grid40)
 
+    @pytest.mark.parametrize("r, error", [(1e300, t.ConvergenceError),
+                                          (1.7e308, t.StepCollapseError)])
+    def test_extreme_mass_keeps_its_solver_error(self, grid40, r, error):
+        # at the weakest coupling a mass of 1e300 survives the first
+        # iterate and runs out of iterations: the carried iterate's achieved
+        # masses stay finite, so packaging it passes MassTriple's rules
+        # instead of turning the ConvergenceError into a ValueError
+        model = t.CouplingModel(np.full((3, 3), 5e-324), 2.0)
+        with np.errstate(all="ignore"), pytest.raises(error) as info:
+            t.minimize(model, t.MassTriple(r, r / 2, 0.0), grid40,
+                       t.SolverConfig(max_iters=3))
+        assert type(info.value) is error
+
     def test_explicit_scheme_agrees(self, model_ones):
         # the literal normalized-gradient-flow scheme reaches the same
         # minimum on a feasible budget (coarse grid, loose tolerance)

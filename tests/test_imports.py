@@ -48,6 +48,33 @@ def test_guard_flags_an_unused_name(tmp_path):
     assert unused_imports(path) == ["os", "pi"]
 
 
+def rule_idiom_sites():
+    """(modules importing `numbers`, f-strings holding `must be ..., got`) of
+    src/trinls, one `module:line` entry per site."""
+    imports, messages = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(
+                    a.name == "numbers" for a in node.names) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                imports.append(path.name)
+            elif isinstance(node, ast.JoinedStr):
+                text = "".join(v.value for v in node.values
+                               if isinstance(v, ast.Constant))
+                if "must be" in text and ", got" in text:
+                    messages.append(f"{path.name}:{node.lineno}")
+    return imports, messages
+
+
+def test_one_home_for_argument_rules():
+    """The rules' type tests (the one `numbers` import) and their message
+    format live in spectral, beside `check_args`; every other module states
+    its rules to `check_args`, so the format cannot drift per module."""
+    imports, messages = rule_idiom_sites()
+    assert imports == ["spectral.py"]
+    assert len(messages) == 1 and messages[0].startswith("spectral.py:"), messages
+
+
 BENCH = SRC.parents[1] / "bench"
 
 

@@ -40,12 +40,12 @@ class TestValidation:
     def test_nonpositive_coupling_rejected(self):
         a = np.ones((3, 3))
         a[1, 2] = a[2, 1] = 0.0
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^a23 must be finite and > 0, got 0\.0$"):
             t.CouplingModel(a, 2.0)
 
     @pytest.mark.parametrize("p", [1.9, 3.0, 3.5])
     def test_exponent_range(self, p):
-        with pytest.raises(ValueError, match="exponent"):
+        with pytest.raises(ValueError, match=rf"^p must be in \[2, 3\), got {p}$"):
             t.CouplingModel(np.ones((3, 3)), p)
 
     def test_mass_triple_rejects_negative(self):
@@ -55,6 +55,32 @@ class TestValidation:
     def test_mass_triple_rejects_all_zero(self):
         with pytest.raises(ValueError):
             t.MassTriple(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: t.minimize(t.CouplingModel(np.ones((3, 3)), 2.0),
+                            t.MassTriple(np.nan, 1, 1), t.make_grid(256, 30.0)),
+         "r must be finite and >= 0, got nan"),
+        (lambda: t.MassTriple(np.inf, 0, 0), "r must be finite and >= 0, got inf"),
+        (lambda: t.CouplingModel(np.array([[1, 1, np.inf], [1, 1, 1], [np.inf, 1, 1]]),
+                                 2.0),
+         "a13 must be finite and > 0, got inf"),
+        (lambda: t.make_grid(16, np.inf),
+         "length must be finite, with length / 16 > 0, got inf"),
+        (lambda: t.SolverConfig(residual_tol=np.inf),
+         "residual_tol must be finite and > 0, got inf"),
+        (lambda: t.SolverConfig(noise=np.inf), "noise must be finite and >= 0, got inf"),
+        (lambda: t.make_grid(16.0, 10.0), "n must be an integer, got 16.0"),
+        (lambda: t.make_grid("16", 10.0), "n must be an integer, got '16'"),
+        (lambda: t.MassTriple("1", 0, 0), "r must be finite and >= 0, got '1'"),
+    ], ids=["nan-mass", "inf-mass", "inf-coupling", "inf-length", "inf-residual_tol",
+            "inf-noise", "float-n", "str-n", "str-mass"])
+    def test_non_finite_or_mistyped_argument_named(self, call, message):
+        # each was accepted (a NaN mass solved to lambda = -0.1667, an
+        # infinite residual_tol "converged" in 0 iterations), returned NaN
+        # grid nodes, or raised a bare TypeError
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_state_requires_common_grid(self, grid40):
         other = t.make_grid(512, 40.0)

@@ -39,8 +39,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("length", [5e-324, float("nan"), -1.0])
     def test_rejects_length_without_positive_spacing(self, length):
-        with pytest.raises(ValueError, match="domain length"):
+        with pytest.raises(ValueError) as info:
             t.make_grid(64, length)
+        assert str(info.value) == (
+            f"length must be finite, with length / 64 > 0, got {length!r}")
 
     def test_wavenumber_layout(self, grid40):
         k = grid40.wavenumbers
