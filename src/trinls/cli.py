@@ -42,10 +42,10 @@ BLAS).  The sample hook waits for the previous write before it submits the
 next, so one snapshot is in flight.  The pool is shut down on every exit; a
 failed write is reported with the worker's own exception (exit 1).
 
-Exit codes: 0 ok, 1 config/input error (`ConfigError`, also a failed
-snapshot writer or an output that cannot be written), 2 non-convergence
-(`ConvergenceError`, also a collapsed flow step or a diverging polish),
-3 blow-up, 4 validation failure.
+Exit codes: 0 ok, 1 usage or config/input error (argparse's usage message,
+a `ConfigError`, also a failed snapshot writer or an output that cannot be
+written), 2 non-convergence (`ConvergenceError`, also a collapsed flow step
+or a diverging polish), 3 blow-up, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import multiprocessing
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__
 from .evolution import BlowUpError, check_evolve_args, evolve
 from .ground_state import (ConvergenceError, GroundState, SolverConfig,
-                           _project, minimize, refine_fixed_point,
+                           _initial_array, minimize, refine_fixed_point,
                            subadditivity_check)
 from .model import (SINGLE_COMPONENT_BOXES, CouplingModel, MassTriple,
                     Multipliers, State, el_residual, gradient_fd_error,
@@ -216,9 +216,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     profile = knobs.pop("init_profile")
     if profile is not None:
         try:
-            knobs["initial_state"] = read_profile_csv(Path(profile), grid)
-            # the flow's projection rejects a zero component with positive mass
-            _project(knobs["initial_state"].stack(), masses.as_array(), grid.spacing)
+            start = knobs["initial_state"] = read_profile_csv(Path(profile), grid)
+            # the flow's start builder rejects a zero component with positive mass
+            _initial_array(masses, grid, SolverConfig(initial_state=start))
         except (OSError, ValueError) as err:
             raise ConfigError(
                 f"cannot use solver.init_profile {profile!r}: {err}") from err
@@ -348,15 +348,13 @@ def _snap_name(i: int) -> str:
 def _snapshot_writer(folder: Path):
     """Yield (sample, times): `sample` is an `evolve` hook that has a
     one-worker process pool (forked) write each state as
-    folder/snap_XXXXXX.csv, `times` its sample times.  The hook first waits
-    for the previous write, so at most one state is in flight.  The worker
-    ignores SIGINT, so a Ctrl-C reaches the caller as this process's
+    folder/snap_XXXXXX.csv, `times` its sample times; the folder and the
+    pool are made at the first sample.  The hook first waits for the
+    previous write, so at most one state is in flight.  The worker ignores
+    SIGINT, so a Ctrl-C reaches the caller as this process's
     KeyboardInterrupt.  The pool is shut down on every exit; a failed write
     raises ConfigError with the worker's own exception."""
-    pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
-                               initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
-    times, last = [], None
+    pool, times, last = None, [], None
 
     def settle():
         error = last and last.exception()
@@ -365,8 +363,13 @@ def _snapshot_writer(folder: Path):
                 f"snapshot writer failed: {type(error).__name__}: {error}")
 
     def sample(t, state):
-        nonlocal last
+        nonlocal pool, last
         settle()
+        if pool is None:
+            folder.mkdir(exist_ok=True)
+            pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                                       initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
         last = pool.submit(write_profile_csv, folder / _snap_name(len(times)), state)
         times.append(t)
 
@@ -374,7 +377,8 @@ def _snapshot_writer(folder: Path):
         yield sample, times
         settle()
     finally:
-        pool.shutdown()
+        if pool is not None:
+            pool.shutdown()
 
 
 def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
@@ -382,15 +386,11 @@ def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int
         raise ConfigError("[evolution] section required for evolve")
     state0 = read_profile_csv(Path(profile_path), cfg.grid)
     ev = cfg.evolution
-    every = ev["snapshot_every"]
-    if every:
-        (out / "snapshots").mkdir(exist_ok=True)
     # the writer formats the snapshots while this process steps
-    with (_snapshot_writer(out / "snapshots") if every
-          else nullcontext((None, []))) as (sample, times):
+    with _snapshot_writer(out / "snapshots") as (sample, times):
         try:
             trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
-                           snapshot_every=every, sample=sample)
+                           snapshot_every=ev["snapshot_every"], sample=sample)
             code = 0
         except BlowUpError as err:
             print(f"blow-up: {err}", file=sys.stderr)
@@ -526,12 +526,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to INI config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override solver seed / stability seed list")
         p.add_argument("--quiet", action="store_true")
-        if name == "evolve":
+        if name == "evolve":  # it neither solves nor perturbs: no seed
             p.add_argument("--profile", required=True,
                            help="input profile.csv (must match [grid])")
+        else:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override solver seed / stability seed list")
     v = sub.add_parser("validate")
     v.add_argument("--out", default=None)
     v.add_argument("--quiet", action="store_true")
@@ -540,14 +541,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse printed its usage message or --help
+        return 1 if err.code else 0
 
     # the exit-code map: the cmd_* functions raise, main reports
     try:
         if args.command == "validate":
             cfg, out = None, Path(args.out) if args.out else None
         else:
-            cfg = load_config(args.config, seed_override=args.seed)
+            cfg = load_config(args.config, seed_override=getattr(args, "seed", None))
             out = Path(args.out) if args.out else Path(cfg.out_dir)
         try:
             if out is not None:

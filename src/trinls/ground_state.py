@@ -21,9 +21,10 @@ flow.
 
 The flow, the polish and lambda work on the live components only, those
 with positive target mass: a (k, n) array of their rows, with the k x k
-coupling block a[live, live].  The three components are formed once, when
-the `GroundState` is packaged; a zero-mass one is an exact +0.0 row with a
-NaN multiplier and achieved mass 0.0.
+coupling block a[live, live].  Both solvers build their start on those rows
+alone, and the mass projection takes no other.  The three components are
+formed once, when the `GroundState` is packaged; a zero-mass one is an exact
++0.0 row with a NaN multiplier and achieved mass 0.0.
 
 Every `GroundState` reports lambda = H(u) + sum_j w_j (Q_j(u) - m_j) in
 extended precision, rounded once: the minimum value at the masses m, with the
@@ -150,44 +151,35 @@ _MAX_SWEEPS = 600  # polish sweeps before `refine_fixed_point` gives up
 
 
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
-    """Exact projection onto the mass constraints: each row of u rescaled to
-    its entry of `targets`, or zeroed where that is 0.  When every target is
-    positive (the solver's live rows) there is no row to zero."""
-    m = h * np.sum(np.abs(u) ** 2, axis=1)
-    active = targets > 0
-    if active.all() and m.all():  # every row live and non-zero: none to zero
-        u *= np.sqrt(targets / m)[:, None]
-        return u
-    empty = active & (m == 0.0)
-    if np.any(empty):
-        j = int(np.argmax(empty))
-        raise ValueError(
-            f"component {j + 1} is identically zero; cannot rescale it "
-            f"to mass {targets[j]}")
-    u *= np.sqrt(targets / np.where(active, m, 1.0))[:, None]
-    u[~active] = 0.0
+    """Exact projection onto the mass constraints: each row of u, in place,
+    rescaled to its entry of `targets` (live rows: every target positive)."""
+    u *= np.sqrt(targets / (h * np.sum(np.abs(u) ** 2, axis=1)))[:, None]
     return u
 
 
 def _initial_array(masses: MassTriple, grid: Grid, cfg: SolverConfig) -> np.ndarray:
+    """A solver's start: the live rows of the supplied state, or gaussian bumps."""
     targets = masses.as_array()
-    n = grid.n
-    u = np.zeros((3, n), dtype=complex)
-    if cfg.initial_state is not None:
-        if cfg.initial_state.grid != grid:
+    live = np.flatnonzero(targets > 0)
+    start = cfg.initial_state
+    if start is not None:
+        if start.grid != grid:
             raise ValueError("supplied initial state lives on a different grid")
-        u = cfg.initial_state.stack().astype(complex)
+        empty = live[start.masses()[live] == 0.0]
+        if empty.size:
+            raise ValueError(f"component {empty[0] + 1} is identically zero; "
+                             f"cannot rescale it to mass {targets[empty[0]]}")
+        u = start.stack()[live]
     else:  # gaussian bumps
         env = np.exp(-grid.nodes ** 2 / 8.0)
         rng = np.random.default_rng(cfg.seed)
-        for j in range(3):
-            if targets[j] > 0:
-                bump = env.astype(complex)
-                if cfg.noise > 0:
-                    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    bump = env * (1.0 + cfg.noise * xi)
-                u[j] = bump
-    return _project(u, targets, grid.spacing)
+        u = np.empty((live.size, grid.n), dtype=complex)
+        for row in u:
+            row[:] = env
+            if cfg.noise > 0:
+                row *= 1.0 + cfg.noise * (rng.standard_normal(grid.n)
+                                          + 1j * rng.standard_normal(grid.n))
+    return _project(u, targets[live], grid.spacing)
 
 
 def _residual_target(grid: Grid, tol: float) -> float:
@@ -215,7 +207,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(masses, grid, cfg)[live]  # (k, n): the live rows
+    u = _initial_array(masses, grid, cfg)  # (k, n): the live rows
 
     size = 2 * u.size  # mixing history over the real view of the iterate
     dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
@@ -338,7 +330,7 @@ def refine_fixed_point(state: State, model: CouplingModel,
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, 1e-11)
-    u = _project(state.stack(), targets, h)[live]
+    u = _initial_array(masses, grid, SolverConfig(initial_state=state))  # live rows
     w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):

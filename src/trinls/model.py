@@ -41,12 +41,13 @@ class CouplingModel:
     p: float
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
+        a = np.array(self.a, dtype=object)  # entries as given: the rules judge them
         check_args(("a", a.shape, lambda shape: shape == (3, 3), "of shape (3, 3)"))
-        check_args(*((f"a{k + 1}{j + 1}", float(v), lambda v: 0 < v < np.inf,
+        check_args(*((f"a{k + 1}{j + 1}", v, lambda v: is_finite(v) and v > 0,
                       "finite and > 0") for (k, j), v in np.ndenumerate(a)),
                    ("a", a.tolist(), lambda v: np.array_equal(v, a.T), "symmetric"),
                    _exponent_rule(self.p))
+        a = a.astype(float)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -113,10 +114,10 @@ class State:
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels (shared by the solver and the time stepper).  They take
-# a (k, n) array of k components with its k x k coupling block `a` and the
-# exponent p: the time stepper passes all three rows, the solver only the
-# components with positive target mass.
+# array-level kernels (shared by the solver and the time stepper), on a (k, n)
+# array of k components with its k x k coupling block `a` and the exponent p.
+# The time stepper passes all three rows.  The multiplier and the residual
+# divide by the masses: the solver and their entry points pass live rows only.
 # ---------------------------------------------------------------------------
 
 def _coefficients(u: np.ndarray, a: np.ndarray, p: float,
@@ -170,32 +171,24 @@ def _energy_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
 
 def _multiplier_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
                       m: np.ndarray = None, terms=None) -> np.ndarray:
-    """w_j = -(kin_j - inter_j) / m_j, nan where m_j = 0; `m` and `terms`
-    default to the masses of u and `_energy_terms(u, grid, a, p)`."""
+    """w_j = -(kin_j - inter_j) / m_j; `m` and `terms` default to the masses
+    of u and `_energy_terms(u, grid, a, p)`."""
     kin, inter = _energy_terms(u, grid, a, p) if terms is None else terms
     m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
-    w = np.full(len(m), np.nan)
-    pos = m > 0
-    w[pos] = -(kin[pos] - inter[pos]) / m[pos]
-    return w
+    return -(kin - inter) / m
 
 
 def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
                        a: np.ndarray, p: float, m: np.ndarray = None,
                        uh: np.ndarray = None, N: np.ndarray = None):
-    """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh) over the rows with mass, by
-    Parseval from rh_j = (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j +
-    w_j u_j; `m`, `uh`, `N` default to the masses of u, fft(u) and N(u)."""
+    """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh), by Parseval from rh_j =
+    (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j + w_j u_j; `m`, `uh`,
+    `N` default to the masses of u, fft(u) and N(u)."""
     m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
-    live = ~(m <= 0)  # not `m > 0`: a NaN mass must yield a NaN residual
-    if not np.any(live):
-        raise ValueError("all components have zero mass")
-    if live.all():  # the solver's rows: views, not mask copies
-        live = slice(None)
     uh = fft(u, axis=-1) if uh is None else uh
     N = _nonlinearity(u, a, p) if N is None else N
-    rh = (grid.wavenumbers ** 2 + w[live, None]) * uh[live] - fft(N[live], axis=-1)
-    sq = grid.spacing / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / m[live]
+    rh = (grid.wavenumbers ** 2 + w[:, None]) * uh - fft(N, axis=-1)
+    sq = grid.spacing / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / m
     return float(np.sqrt(np.max(sq))), rh
 
 
@@ -214,16 +207,21 @@ def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
     Every component must carry positive mass: zero mass leaves the
     multiplier undefined and raises.
     """
-    w = _multiplier_array(state.stack(), state.grid, model.a, model.p)
-    if np.any(np.isnan(w)):
+    m = state.masses()
+    if not np.all(m > 0):
         raise ValueError("undefined multiplier: a component has zero mass")
-    return Multipliers(*map(float, w))
+    return Multipliers(*map(float, _multiplier_array(state.stack(), state.grid,
+                                                     model.a, model.p, m)))
 
 
 def el_residual(state: State, mult: Multipliers, model: CouplingModel) -> float:
     """max_j ||G_j + w_j u_j|| / ||u_j||, skipping zero-mass components."""
-    return _el_residual_array(state.stack(), mult.as_array(), state.grid,
-                              model.a, model.p)[0]
+    m = state.masses()
+    live = np.flatnonzero(m > 0)
+    if not live.size:
+        raise ValueError("all components have zero mass")
+    return _el_residual_array(state.stack()[live], mult.as_array()[live], state.grid,
+                              model.a[np.ix_(live, live)], model.p, m[live])[0]
 
 
 def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:

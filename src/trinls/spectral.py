@@ -18,6 +18,7 @@ tests builds on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -38,8 +39,11 @@ def is_integer(x) -> bool:
 
 
 def is_finite(x) -> bool:
-    """x is a real number, neither infinite nor NaN."""
-    return isinstance(x, Real) and -np.inf < x < np.inf
+    """x is a real number, neither infinite nor NaN, inside the float range."""
+    try:
+        return isinstance(x, Real) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -61,11 +65,12 @@ class Grid:
 def make_grid(n: int, length: float) -> Grid:
     """Build a periodic grid with nodes centered at 0.
 
-    n must be an integer power of two with n >= 16; length must be finite
-    and positive, with a spacing length / n that does not underflow to 0.
+    n must be an integer power of two, 16 <= n <= 2**62 (numpy's index
+    range); length must be finite and positive, with length / n > 0.
     """
     check_args(("n", n, is_integer, "an integer"),
                ("n", n, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
+               ("n", n, lambda n: n <= 2 ** 62, "<= 2**62"),
                ("length", length, lambda length: is_finite(length) and length / n > 0,
                 f"finite, with length / {n} > 0"))
     h = length / n

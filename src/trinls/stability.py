@@ -163,22 +163,21 @@ def perturb(state: State, kind: str, amplitude: float, seed: int = 0) -> State:
     grid = state.grid
     u = state.stack()
     masses0 = state.masses()
+    live = masses0 > 0
 
     if kind == "component_tilt":
         eta = np.zeros_like(u)
-        signs = (1.0, -1.0, 1.0)
-        live = [j for j in range(3) if masses0[j] > 0]
-        for rank, j in enumerate(live):
-            norm_j = _y_norm(u[j][None, :], grid)
-            eta[j] = signs[rank % 2] * u[j] / norm_j
+        for rank, j in enumerate(np.flatnonzero(live)):
+            eta[j] = (1.0, -1.0)[rank % 2] * u[j] / _y_norm(u[j][None, :], grid)
     else:
         rng = np.random.default_rng(seed)
         eta = np.stack([_smooth_noise(grid, rng) for _ in range(3)])
     eta /= _y_norm(eta, grid)
 
     out = u + amplitude * eta
-    if kind == "mass_preserving_random":
-        out = _project(out, masses0, grid.spacing)
+    if kind == "mass_preserving_random":  # a zero-mass component stays 0
+        out[~live] = 0.0
+        out[live] = _project(out[live], masses0[live], grid.spacing)
     return State.from_array(grid, out)
 
 

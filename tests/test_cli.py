@@ -138,6 +138,10 @@ class TestConfigValidation:
         ("evolution.t", BASE + "\n[evolution]\nt = 1e300\ndt = 1e-3\n"),
         pytest.param("evolution.dt", BASE + "\n[evolution]\nt = 1.0\n",
                      id="evolution.dt-missing"),
+        # past numpy's index range, and past the float range
+        pytest.param("grid.n", BASE.replace("n = 512", f"n = {2 ** 70}"), id="grid.n-2**70"),
+        pytest.param("grid.n", BASE.replace("n = 512", f"n = {2 ** 1400}"),
+                     id="grid.n-2**1400"),
     ], ids=lambda v: v if "[" not in v else "cfg")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, text):
         cfg = write_config(tmp_path, text)
@@ -167,6 +171,18 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                      "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "run.ini", "--bogus"],
+        ["solve", "--out", "o"],
+        ["evolve", "--config", "run.ini", "--profile", "p.csv", "--seed", "1"],
+    ], ids=["unknown-flag", "missing-config", "evolve-seed"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 means non-convergence; evolve neither solves nor perturbs,
+        # so a seed there would be checked and then ignored
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trinls ") and "error: " in err
 
     def test_seed_flag_rule_is_solver_configs(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^invalid value for --seed: "

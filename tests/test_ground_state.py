@@ -34,14 +34,18 @@ def explicit_flow(model, masses, grid, tol, max_iters=60000):
     """Reference loop for `minimize`: the literal projected gradient flow
     (Bao & Du 2004) u <- P(u - tau G(u)) from gaussian bumps, with tau 0.9 of
     the forward-Euler limit 2 / max k^2, until the Euler-Lagrange residual is
-    below `tol`.  Returns the final state."""
-    a, p, targets, h = model.a, model.p, masses.as_array(), grid.spacing
+    below `tol`.  It runs on the live components (the zero-mass ones stay
+    exact zeros); returns the final state."""
+    live = masses.as_array() > 0
+    a, p, m, h = model.a[np.ix_(live, live)], model.p, masses.as_array()[live], grid.spacing
     tau = 0.9 * 2.0 / np.max(grid.wavenumbers ** 2)
-    u = _project(np.exp(-grid.nodes ** 2 / 8.0) * np.ones((3, 1), complex), targets, h)
+    u = _project(np.exp(-grid.nodes ** 2 / 8.0) * np.ones((m.size, 1), complex), m, h)
     for _ in range(max_iters):
         if _el_residual_array(u, _multiplier_array(u, grid, a, p), grid, a, p)[0] < tol:
-            return t.State.from_array(grid, u)
-        u = _project(u - tau * _gradient_array(u, grid, a, p), targets, h)
+            full = np.zeros((3, grid.n), complex)
+            full[live] = u
+            return t.State.from_array(grid, full)
+        u = _project(u - tau * _gradient_array(u, grid, a, p), m, h)
     raise AssertionError(f"no convergence in {max_iters} iterations")
 
 
@@ -187,6 +191,16 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match="identically zero"):
             t.minimize(model_ones, t.MassTriple(1.0, 1.0, 0.0), grid40, cfg)
 
+    def test_polish_rejects_zero_component(self, grid40, model_ones):
+        # the polish starts from the flow's start builder, which names the
+        # component, instead of sweeping a NaN row into a DivergenceError
+        u = np.zeros((3, grid40.n), dtype=complex)
+        u[0] = np.exp(-grid40.nodes ** 2)
+        with pytest.raises(ValueError, match="^component 3 is identically zero; "
+                                             "cannot rescale it to mass 2.5$"):
+            t.refine_fixed_point(t.State.from_array(grid40, u), model_ones,
+                                 t.MassTriple(1.0, 0.0, 2.5))
+
 
 class TestProjection:
     @staticmethod
@@ -203,11 +217,21 @@ class TestProjection:
                                          (0.0, 1.3, 0.7)])
     @pytest.mark.parametrize("n", [256, 4096])
     def test_matches_per_component_loop(self, rng, n, targets):
-        from trinls.ground_state import _project
+        # `_project` takes the live rows; `perturb` zeroes the others, so its
+        # mass-preserving kind equals the loop bit for bit, dead rows +0.0
         u = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         targets = np.array(targets)
-        got = _project(u.copy(), targets, 0.04)
-        assert got.tobytes() == self.project_loop(u.copy(), targets, 0.04).tobytes()
+        live = targets > 0
+        want = self.project_loop(u.copy(), targets, 0.04)
+        assert _project(u[live], targets[live], 0.04).tobytes() == want[live].tobytes()
+
+        # both kinds add the same noise; the mass-preserving one then projects
+        # onto the state's masses, and the bytes tell +0.0 from -0.0
+        state = t.State.from_array(t.make_grid(n, 0.04 * n), want)
+        moved = t.perturb(state, "random_h1", 1e-2, seed=4).stack()
+        out = t.perturb(state, "mass_preserving_random", 1e-2, seed=4).stack()
+        ref = self.project_loop(moved, state.masses(), state.grid.spacing)
+        assert out.tobytes() == ref.tobytes()
 
 
 class TestMinimumValue:

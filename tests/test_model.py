@@ -72,15 +72,35 @@ class TestValidation:
         (lambda: t.make_grid(16.0, 10.0), "n must be an integer, got 16.0"),
         (lambda: t.make_grid("16", 10.0), "n must be an integer, got '16'"),
         (lambda: t.MassTriple("1", 0, 0), "r must be finite and >= 0, got '1'"),
+        (lambda: t.make_grid(16, 10 ** 400),
+         f"length must be finite, with length / 16 > 0, got {10 ** 400}"),
+        (lambda: t.make_grid(2 ** 1400, 10.0),
+         f"n must be <= 2**62, got {2 ** 1400}"),
+        (lambda: t.make_grid(2 ** 70, 10.0),
+         f"n must be <= 2**62, got {2 ** 70}"),
+        (lambda: t.MassTriple(10 ** 400, 0, 0), f"r must be finite and >= 0, got {10 ** 400}"),
+        (lambda: t.SolverConfig(residual_tol=10 ** 400),
+         f"residual_tol must be finite and > 0, got {10 ** 400}"),
+        (lambda: t.CouplingModel([["1"] * 3] * 3, 2.0), "a11 must be finite and > 0, got '1'"),
+        (lambda: t.CouplingModel([["x"] * 3] * 3, 2.0), "a11 must be finite and > 0, got 'x'"),
     ], ids=["nan-mass", "inf-mass", "inf-coupling", "inf-length", "inf-residual_tol",
-            "inf-noise", "float-n", "str-n", "str-mass"])
+            "inf-noise", "float-n", "str-n", "str-mass", "huge-int-length", "huge-int-n",
+            "unindexable-n", "huge-int-mass", "huge-int-residual_tol", "str-coupling",
+            "non-numeric-coupling"])
     def test_non_finite_or_mistyped_argument_named(self, call, message):
         # each was accepted (a NaN mass solved to lambda = -0.1667, an
-        # infinite residual_tol "converged" in 0 iterations), returned NaN
-        # grid nodes, or raised a bare TypeError
+        # infinite residual_tol "converged" in 0 iterations, a coupling of
+        # numeric strings was converted), returned NaN grid nodes, or raised
+        # a bare TypeError, an OverflowError or numpy's own ValueError
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    def test_float32_arguments_accepted(self):
+        # the finiteness rule converts with math.isfinite: no numpy warning
+        assert t.make_grid(16, np.float32(10.0)).length == 10.0
+        assert t.MassTriple(np.float32(1.0), 0, 0).total == 1.0
+        assert t.CouplingModel(np.ones((3, 3), np.float32), np.float32(2.0)).a.dtype == float
 
     def test_state_requires_common_grid(self, grid40):
         other = t.make_grid(512, 40.0)
@@ -163,12 +183,13 @@ class TestPrecomputedModuli:
 
 
 class TestMultipliersAndResidual:
-    def test_single_component_multiplier(self, grid40, model_ones):
-        # (4/3 - 16/3) / (-4) = 1; the frozen components read NaN
-        w = _multiplier_array(single_state(grid40).stack(), grid40,
-                              model_ones.a, model_ones.p)
-        assert abs(w[0] - 1.0) <= 1e-9
-        assert np.isnan(w[1]) and np.isnan(w[2])
+    def test_single_component_multiplier(self, grid40, model_ones, gs_single4):
+        # (4/3 - 16/3) / (-4) = 1 on the live row; the kernel takes live rows
+        # only, and the frozen components' NaN is the ground state's
+        w = _multiplier_array(single_state(grid40).stack()[:1], grid40,
+                              model_ones.a[:1, :1], model_ones.p)
+        assert w.shape == (1,) and abs(w[0] - 1.0) <= 1e-9
+        assert np.isnan(gs_single4.multipliers.w2) and np.isnan(gs_single4.multipliers.w3)
 
     def test_zero_mass_component_raises(self, grid40, model_ones):
         with pytest.raises(ValueError, match="undefined multiplier"):
