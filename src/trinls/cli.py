@@ -11,21 +11,10 @@ Subcommands
 Config files are INI-style key = value text, read strictly against one
 schema table (`_SCHEMA`) that only converts: unknown sections or keys are
 rejected, physics parameters have no defaults, solver knobs do.  The code
-that takes a value checks its type, finiteness and range at load time, and
-every error names its section.key.  Accepted values (see README):
-
-    [grid]      n (power of two >= 16), length > 0
-    [coupling]  a11, a12, a13, a22, a23, a33 > 0 (symmetric), 2 <= p < 3
-    [masses]    r, s, t >= 0, at least one > 0
-    [solver]    max_iters >= 1, residual_tol > 0, seed >= 0, init_profile
-                (a profile file to start from), noise >= 0 (0 with
-                init_profile)                              (all optional)
-    [evolution] t >= 0, dt != 0 (t / |dt| steps fit a Python index),
-                snapshot_every >= 0
-    [stability] kind, delta >= 0, eps > 0, seeds (distinct) >= 0,
-                sample_every > 0
-    [subadd]    splits, each within [masses]   e.g.  splits = 2,0,0 ; 1,0.5,0
-    [output]    dir                                        (optional)
+that takes a value checks its type, finiteness and range at load time
+(`make_grid`, `CouplingModel`, `MassTriple`, `SolverConfig`,
+`check_evolve_args`, `check_stability_args`), and every error names its
+section.key.  README's config schema lists the keys.
 
 Every ground state is one `minimize` call: it starts from init_profile when
 that is given, else from gaussian bumps, and stops on its residual target.
@@ -42,10 +31,15 @@ BLAS).  The sample hook waits for the previous write before it submits the
 next, so one snapshot is in flight.  The pool is shut down on every exit; a
 failed write is reported with the worker's own exception (exit 1).
 
-Exit codes: 0 ok, 1 usage or config/input error (argparse's usage message,
-a `ConfigError`, also a failed snapshot writer or an output that cannot be
-written), 2 non-convergence (`ConvergenceError`, also a collapsed flow step
-or a diverging polish), 3 blow-up, 4 validation failure.
+Every command raises on failure, and `main` alone maps the failure type to
+its exit code and stderr prefix (`_EXITS`): 0 ok, 1 usage or config/input
+error (argparse's usage message, a `ConfigError`, also a failed snapshot
+writer or an output that cannot be written), 2 non-convergence
+(`ConvergenceError`, also a collapsed flow step or a diverging polish), 3
+blow-up (`BlowUpError`: an `evolve` run, or the stability seeds that blew
+up, after every output is written), 4 a failed `validate` check
+(`CheckFailed`, after validate.json).  A command whose section is missing
+(`_NEEDS`) fails before the output directory is made.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -83,6 +77,10 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; the message names the field."""
 
 
+class CheckFailed(RuntimeError):
+    """A `validate` oracle check did not pass."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     grid: Grid
@@ -91,7 +89,7 @@ class RunConfig:
     solver: SolverConfig
     evolution: Optional[dict]
     stability: Optional[dict]
-    subadd_splits: Optional[tuple]   # (split, part 1, part 2) per split
+    subadd: Optional[tuple]   # (split, part 1, part 2) per split
     out_dir: str
 
 
@@ -238,7 +236,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
                      evolution=sec["evolution"], stability=sec["stability"],
-                     subadd_splits=splits, out_dir=sec["output"]["dir"])
+                     subadd=splits, out_dir=sec["output"]["dir"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +331,10 @@ def _solve_ground_state(cfg: RunConfig, quiet: bool) -> GroundState:
     return gs
 
 
-def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    gs = _solve_ground_state(cfg, quiet)
+def cmd_solve(cfg: RunConfig, out: Path, args) -> None:
+    gs = _solve_ground_state(cfg, args.quiet)
     write_groundstate_json(out / "groundstate.json", gs, cfg.model)
     write_profile_csv(out / "profile.csv", gs.profile)
-    return 0
 
 
 def _snap_name(i: int) -> str:
@@ -381,39 +378,33 @@ def _snapshot_writer(folder: Path):
             pool.shutdown()
 
 
-def cmd_evolve(cfg: RunConfig, profile_path: str, out: Path, quiet: bool) -> int:
-    if cfg.evolution is None:
-        raise ConfigError("[evolution] section required for evolve")
-    state0 = read_profile_csv(Path(profile_path), cfg.grid)
+def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
+    state0 = read_profile_csv(Path(args.profile), cfg.grid)
     ev = cfg.evolution
+    blown = None
     # the writer formats the snapshots while this process steps
     with _snapshot_writer(out / "snapshots") as (sample, times):
         try:
             trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
                            snapshot_every=ev["snapshot_every"], sample=sample)
-            code = 0
-        except BlowUpError as err:
-            print(f"blow-up: {err}", file=sys.stderr)
-            trace = err.trace
-            code = 3
+        except BlowUpError as err:  # raised once the partial outputs are written
+            trace, blown = err.trace, err
         write_trace_csv(out / "trace.csv", trace)
         if times:
             _write_csv(out / "snapshots.csv", ["t", "file"],
                        [times, [_snap_name(i) for i in range(len(times))]])
-    if not quiet and code == 0:
+    if blown:
+        raise blown
+    if not args.quiet:
         print(f"evolved to T = {trace.times[-1]:g}; "
               f"max energy drift = {trace.energy_drift.max():.3e}")
-    return code
 
 
-def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    if cfg.stability is None or cfg.evolution is None:
-        raise ConfigError("[stability] and [evolution] sections required")
-    gs = _solve_ground_state(cfg, quiet)
+def cmd_stability(cfg: RunConfig, out: Path, args) -> None:
+    gs = _solve_ground_state(cfg, args.quiet)
     st = cfg.stability
     ev = cfg.evolution
     summary = {"verdicts": {}, "sup_distances": {}, "delta": st["delta"]}
-    code = 0
     for seed in st["seeds"]:
         rep = stability_experiment(
             gs, cfg.model, st["kind"], st["delta"], ev["t"], ev["dt"],
@@ -427,31 +418,28 @@ def cmd_stability(cfg: RunConfig, out: Path, quiet: bool) -> int:
         })
         summary["verdicts"][str(seed)] = rep.verdict
         summary["sup_distances"][str(seed)] = rep.sup_distance
-        if rep.verdict == "blow_up":
-            code = 3
-        if not quiet:
+        if not args.quiet:
             print(f"seed {seed}: verdict = {rep.verdict}, "
                   f"sup distance = {rep.sup_distance:.4e}")
     summary["all_bounded"] = all(v == "bounded" for v in summary["verdicts"].values())
     write_json(out / "summary.json", summary)
-    return code
+    blown = [seed for seed, v in summary["verdicts"].items() if v == "blow_up"]
+    if blown:
+        raise BlowUpError(f"non-finite state with stability seeds {', '.join(blown)}")
 
 
-def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    if cfg.subadd_splits is None:
-        raise ConfigError("[subadd] section required for subadd")
+def cmd_subadd(cfg: RunConfig, out: Path, args) -> None:
     lam_total = minimize(cfg.model, cfg.masses, cfg.grid, cfg.solver).lam
     rows = []
-    for split, part1, part2 in cfg.subadd_splits:
+    for split, part1, part2 in cfg.subadd:
         try:
             res = subadditivity_check(cfg.model, part1, part2, cfg.grid,
                                       cfg.solver, lam_total=lam_total)
         except ConvergenceError as err:
             raise type(err)(f"split {split}: {err}", err.last) from err
-        rows.append((res.part1.r, res.part1.s, res.part1.t, res.part2.r,
-                     res.part2.s, res.part2.t, res.lam_total, res.lam_part1,
-                     res.lam_part2, res.margin, res.tolerance, res.inconclusive))
-        if not quiet:
+        part1, part2, *rest = astuple(res)
+        rows.append((*part1, *part2, *rest))
+        if not args.quiet:
             print(f"split {split}: margin = {res.margin:.6f} "
                   f"(tolerance {res.tolerance:.1e}, "
                   f"{'inconclusive' if res.inconclusive else 'conclusive'})")
@@ -460,7 +448,6 @@ def cmd_subadd(cfg: RunConfig, out: Path, quiet: bool) -> int:
                 "lambda_part1", "lambda_part2", "margin", "tolerance",
                 "inconclusive"], list(zip(*rows)),
                "dimensionless units; margin = lambda(total) - lambda(p1) - lambda(p2)")
-    return 0
 
 
 def _validate_checks():
@@ -501,16 +488,18 @@ def _validate_checks():
            f"worst relative error {worst:.2e}")
 
 
-def cmd_validate(out: Optional[Path], quiet: bool) -> int:
+def cmd_validate(cfg: None, out: Optional[Path], args) -> None:
     results = []
     for name, ok, detail in _validate_checks():
         results.append({"check": name, "passed": bool(ok), "detail": detail})
-        if not (quiet and ok):
+        if not (args.quiet and ok):
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    all_ok = all(r["passed"] for r in results)
+    failed = [r["check"] for r in results if not r["passed"]]
     if out is not None:
-        write_json(out / "validate.json", {"checks": results, "all_passed": all_ok})
-    return 0 if all_ok else 4
+        write_json(out / "validate.json", {"checks": results, "all_passed": not failed})
+    if failed:
+        raise CheckFailed(f"{len(failed)} of {len(results)} checks failed: "
+                          + "; ".join(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -539,43 +528,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# failure type -> (exit code, stderr prefix): the only exit-code map
+_EXITS = {
+    ConfigError: (1, "config error"),
+    OSError: (1, "config error: cannot write output"),  # readers raise ConfigError
+    ConvergenceError: (2, "solve failed"),
+    BlowUpError: (3, "blow-up"),
+    CheckFailed: (4, "validation failed"),
+}
+
+# command -> the optional sections it needs, checked before any output
+_NEEDS = {"evolve": ("evolution",), "stability": ("stability", "evolution"),
+          "subadd": ("subadd",)}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as err:  # argparse printed its usage message or --help
         return 1 if err.code else 0
-
-    # the exit-code map: the cmd_* functions raise, main reports
+    # built per call, so that a cmd_* wrapped at run time (the benchmark's
+    # tracer) is the one that runs
+    commands = {"solve": cmd_solve, "evolve": cmd_evolve, "stability": cmd_stability,
+                "subadd": cmd_subadd, "validate": cmd_validate}
     try:
-        if args.command == "validate":
-            cfg, out = None, Path(args.out) if args.out else None
-        else:
+        cfg = None
+        if args.command != "validate":
             cfg = load_config(args.config, seed_override=getattr(args, "seed", None))
-            out = Path(args.out) if args.out else Path(cfg.out_dir)
-        try:
-            if out is not None:
+        for name in _NEEDS.get(args.command, ()):
+            if getattr(cfg, name) is None:
+                raise ConfigError(f"[{name}] section required for {args.command}")
+        out = Path(args.out) if args.out else cfg and Path(cfg.out_dir)
+        if out is not None:
+            try:
                 out.mkdir(parents=True, exist_ok=True)
-        except OSError as err:  # e.g. the path or a parent is an existing file
-            raise ConfigError(f"cannot make output directory {out}: {err}") from err
-        if cfg is None:
-            return cmd_validate(out, args.quiet)
-        write_metadata(out, [args.command] + argv[1:])
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.profile, out, args.quiet)
-        cmd = {"solve": cmd_solve, "stability": cmd_stability,
-               "subadd": cmd_subadd}[args.command]
-        return cmd(cfg, out, args.quiet)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:  # the readers raise ConfigError: this is a write
-        print(f"config error: cannot write output: {err}", file=sys.stderr)
-        return 1
-    except ConvergenceError as err:
-        print(f"solve failed: {err}", file=sys.stderr)
-        return 2
-
+            except OSError as err:  # e.g. the path or a parent is an existing file
+                raise ConfigError(f"cannot make output directory {out}: {err}") from err
+            write_metadata(out, [args.command] + argv[1:])
+        commands[args.command](cfg, out, args)
+        return 0
+    except tuple(_EXITS) as err:
+        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(err, kind))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

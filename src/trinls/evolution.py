@@ -173,21 +173,18 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
                 lambda n: n == 0 or sample is not None, "0 without a sample hook"))
     grid = state0.grid
     nsteps = int(round(T / abs(dt)))
-    recorded = list(range(0, nsteps + 1, record_every))
-    if recorded[-1] != nsteps:
-        recorded.append(nsteps)
-    times = np.array(recorded) * dt
+    nrec = -(-nsteps // record_every) + 1  # t = 0, every record_every, the last
     u = state0.stack()
     uh = fft(u, axis=-1)
-    masses = np.empty((len(recorded), 3))
-    energies = np.empty(len(recorded))
+    steps = np.zeros(nrec, dtype=np.int64)  # times = steps * dt: -0.0 going back
+    masses, energies = np.empty((nrec, 3)), np.empty(nrec)
     masses[0], energies[0] = _record(u, uh, grid, model)
     rows = 1
     if snapshot_every > 0:
         sample(0.0, State.from_array(grid, u))
 
     def blow_up(what, s):
-        partial = _trace(times[:rows], masses[:rows], energies[:rows])
+        partial = _trace(steps[:rows] * dt, masses[:rows], energies[:rows])
         return BlowUpError(f"non-finite {what} at t = {s * dt:g}", trace=partial)
 
     # rows 0-2: the next step's spectrum after its opening half step, rows
@@ -210,6 +207,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
         both = ifft(pair, axis=-1)
         v, u = both[:3], both[3:]
         if record:
+            steps[rows] = s
             masses[rows], energies[rows] = _record(u, uh, grid, model)
             if not math.isfinite(energies[rows]):
                 raise blow_up("energy", s)
@@ -217,4 +215,4 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
         if snap:
             sample(s * dt, State.from_array(grid, u))
 
-    return _trace(times, masses, energies)
+    return _trace(steps * dt, masses, energies)

@@ -163,8 +163,7 @@ def _initial_array(masses: MassTriple, grid: Grid, cfg: SolverConfig) -> np.ndar
     live = np.flatnonzero(targets > 0)
     start = cfg.initial_state
     if start is not None:
-        if start.grid != grid:
-            raise ValueError("supplied initial state lives on a different grid")
+        check_args(("initial_state", start.grid, lambda g: g == grid, f"on {grid}"))
         empty = live[start.masses()[live] == 0.0]
         if empty.size:
             raise ValueError(f"component {empty[0] + 1} is identically zero; "
@@ -197,9 +196,10 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     until the Euler-Lagrange residual is below
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
     (carrying the last accepted, evaluated iterate) after `max_iters`, after
-    `_STALL` accepted iterations without a new lowest residual, or when the
-    converged lambda is not negative (not a minimizer);
-    `StepCollapseError` if the iterate leaves the finite range.
+    `_STALL` accepted iterations without a new lowest residual, when the
+    converged lambda is not negative (not a minimizer), or when a target
+    mass underflows to 0.0 on the grid; `StepCollapseError` if the iterate
+    leaves the finite range.
     """
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
@@ -252,12 +252,11 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
 
         x = u.view(float).ravel()  # real views of the iterate and the step
         gx = g.view(float).ravel()
-        if count >= 0:
-            np.subtract(x, x_prev, out=dX[count % _DEPTH])
-        x_prev[:] = x
         f = gx - x
         if count >= 0:
+            np.subtract(x, x_prev, out=dX[count % _DEPTH])
             np.subtract(f, f_prev, out=dF[count % _DEPTH])
+        x_prev[:] = x
         f_prev[:] = f
         count += 1
         if count == 0:
@@ -297,6 +296,10 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
     """The `GroundState` of the live rows u, with multipliers w, at masses m."""
     h = grid.spacing
     achieved = h * np.sum(np.abs(u) ** 2, axis=1)
+    if not achieved.all():  # a positive target the grid's quadrature loses
+        j = np.flatnonzero(achieved == 0)[0]
+        raise ConvergenceError(f"mass {'rst'[live[j]]} = {float(m[j])!r} "
+                               "underflows: the solved component has mass 0.0")
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
     ul = u.astype(np.clongdouble)
     kin, inter = _energy_terms(ul, grid, a, p)

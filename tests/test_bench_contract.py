@@ -8,10 +8,16 @@ iteration or a polish sweep is one `ground_state._nonlinearity` call and a
 time step one `evolution._coefficients` call.  The other tests pin those
 counts, so that, e.g., a record that called `_coefficients` through
 `evolution` would fail here rather than double the benchmark's step count.
+The last test runs one short traced benchmark end to end: a traced run
+wraps every boundary and drives all four CLI commands in-process, which a
+timed run does not.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +26,8 @@ import trinls as t
 import trinls.evolution as evolution
 import trinls.ground_state as ground_state
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_every_traced_boundary_resolves():
@@ -66,3 +73,13 @@ def test_one_nonlinearity_call_per_sweep_and_iteration(monkeypatch, grid40,
         calls.clear()
         polished = t.refine_fixed_point(rough.profile, model_ones, masses)
         assert len(calls) == polished.iterations > 1
+
+
+def test_traced_benchmark_run_is_correct():
+    # about 7 s on a 2-vCPU machine; the run removes its own work folder
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "solve_sweep", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr

@@ -217,6 +217,23 @@ class TestConfigValidation:
                     + extra) == 1
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra, section", [
+        ("evolve", "", "evolution"), ("subadd", "", "subadd"),
+        ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n", "stability"),
+        ("stability", "\n[stability]\ndelta = 1e-3\n", "evolution")],
+        ids=["evolve", "subadd", "stability", "stability-without-evolution"])
+    def test_missing_section_makes_no_output(self, tmp_path, capsys, command,
+                                             extra, section):
+        # the command's sections are checked before the output directory
+        # and metadata.json are made
+        cfg = write_config(tmp_path, BASE + extra)
+        out = tmp_path / "o"
+        profile = ["--profile", str(tmp_path / "p.csv")] if command == "evolve" else []
+        assert main([command, "--config", cfg, "--out", str(out)] + profile) == 1
+        assert capsys.readouterr().err == (
+            f"config error: [{section}] section required for {command}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [(s, k) for s, (_, rows) in
                                               _SCHEMA.items() for k in rows])
     @given(text=st.one_of(
@@ -464,6 +481,15 @@ class TestSolve:
             assert main(["solve", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert "iteration 0" in capsys.readouterr().err
+
+    def test_underflowing_mass_exit_code(self, tmp_path, capsys):
+        # the solved mass rounds to 0.0: a solver error, not a traceback
+        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 5e-324")
+                           .replace("n = 512", "n = 256"))
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solve failed: mass r = 5e-324 underflows")
 
     @pytest.mark.parametrize("command, extra", [
         ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n"
@@ -968,7 +994,7 @@ class TestStability:
         assert summary["all_bounded"] is True
         assert set(summary["verdicts"]) == {"0", "1"}
 
-    def test_blow_up_verdict_exit_code(self, tmp_path, monkeypatch):
+    def test_blow_up_verdict_exit_code(self, tmp_path, monkeypatch, capsys):
         import trinls.cli as cli
 
         def blown(gs, model, kind, delta, T, dt, sample_every, eps, seed):
@@ -986,6 +1012,11 @@ class TestStability:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdicts"] == {"0": "blow_up", "1": "blow_up"}
         assert summary["all_bounded"] is False
+        for seed in (0, 1):
+            rep = json.loads((out / f"report_seed{seed}.json").read_text())
+            assert rep["verdict"] == "blow_up"
+        assert capsys.readouterr().err == (
+            "blow-up: non-finite state with stability seeds 0, 1\n")
 
 
 class TestValidate:
@@ -1024,7 +1055,10 @@ class TestValidate:
             cli, "_validate_checks",
             lambda: iter([("forced", False, "synthetic failure")]))
         assert main(["validate"]) == 4
-        assert "FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert captured.err == ("validation failed: 1 of 1 checks failed: "
+                                "forced\n")
 
 
 class TestWriters:

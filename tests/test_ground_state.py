@@ -163,6 +163,34 @@ class TestSolverContracts:
                        t.SolverConfig(max_iters=3))
         assert type(info.value) is error
 
+    @pytest.mark.parametrize("masses, name", [((5e-324, 0.0, 0.0), "r"),
+                                              ((0.0, 0.0, 5e-324), "t")])
+    def test_underflowing_mass_is_a_convergence_error(self, model_ones, masses,
+                                                      name):
+        # the solved component's mass rounds to 0.0 on the grid: the error
+        # names that target, not the achieved masses' MassTriple rule
+        with pytest.raises(t.ConvergenceError,
+                           match=f"^mass {name} = 5e-324 underflows"):
+            t.minimize(model_ones, t.MassTriple(*masses), t.make_grid(256, 30.0))
+
+    def test_non_negative_minimum_is_not_a_minimizer(self, model_ones):
+        # at r = 1e-320 the converged lambda rounds to a positive subnormal
+        with pytest.raises(t.ConvergenceError,
+                           match="^converged to non-negative energy") as err:
+            t.minimize(model_ones, t.MassTriple(1e-320, 0.0, 0.0),
+                       t.make_grid(256, 30.0))
+        last = err.value.last
+        assert last is not None and not last.lam < 0
+        assert last.masses_achieved.r > 0
+
+    def test_supplied_start_on_another_grid(self, gs_equal, model_ones):
+        with pytest.raises(ValueError, match=r"^initial_state must be on "
+                                             r"Grid\(n=512, length=40.0\), got "
+                                             r"Grid\(n=1024, length=40.0\)$"):
+            t.minimize(model_ones, t.MassTriple(4 / 3, 4 / 3, 4 / 3),
+                       t.make_grid(512, 40.0),
+                       t.SolverConfig(initial_state=gs_equal.profile))
+
     def test_explicit_scheme_agrees(self, model_ones):
         # the literal normalized-gradient-flow scheme reaches the same
         # minimum on a feasible budget (coarse grid, loose tolerance)
