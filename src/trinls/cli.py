@@ -18,6 +18,8 @@ section.key.  README's config schema lists the keys.
 
 Every ground state is one `minimize` call: it starts from init_profile when
 that is given, else from gaussian bumps, and stops on its residual target.
+Only the stability perturbations draw random numbers, so only `stability`
+takes `--seed`, which replaces the [stability] seeds list.
 Only `#` starts an inline comment: `;` separates subadd splits.
 
 Scalars go to JSON, field data to CSV: an optional `# ` line ending in LF,
@@ -121,8 +123,7 @@ _SCHEMA = {
                         ("a11", "a12", "a13", "a22", "a23", "a33", "p")}),
     "masses": (True, {k: (float, ...) for k in ("r", "s", "t")}),
     "solver": (False, {k: (conv, getattr(SolverConfig, k, None)) for k, conv in (
-        ("max_iters", int), ("residual_tol", float), ("seed", int),
-        ("init_profile", str), ("noise", float))}),
+        ("max_iters", int), ("residual_tol", float), ("init_profile", str))}),
     "evolution": (False, {"t": (float, ...), "dt": (float, ...),
                           "snapshot_every": (int, 0)}),
     "stability": (False, {"kind": (str, "mass_preserving_random"),
@@ -174,6 +175,8 @@ def _split_parts(split: tuple, total: MassTriple) -> tuple:
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
+    """The run at `path`; `seed_override` (`stability --seed`) replaces the
+    [stability] seeds list."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     try:
@@ -216,23 +219,22 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         try:
             start = knobs["initial_state"] = read_profile_csv(Path(profile), grid)
             # the flow's start builder rejects a zero component with positive mass
-            _initial_array(masses, grid, SolverConfig(initial_state=start))
+            _initial_array(masses, grid, start)
         except (OSError, ValueError) as err:
             raise ConfigError(
                 f"cannot use solver.init_profile {profile!r}: {err}") from err
-    if seed_override is not None:  # the seed rule is SolverConfig's
-        knobs["seed"] = _build("invalid value for --seed: ", SolverConfig,
-                               seed=seed_override).seed
-        if sec["stability"] is not None:
-            sec["stability"]["seeds"] = (seed_override,)
     solver = _build("solver.", SolverConfig, **knobs)
     if sec["evolution"] is not None:
         _build("evolution.", check_evolve_args, **sec["evolution"])
-    if sec["stability"] is not None:  # each of the seeds is a `seed` argument
-        args = {k: v for k, v in sec["stability"].items() if k != "seeds"}
+    st = sec["stability"]
+    if st is not None:  # each of the seeds is a `seed` argument
+        args = {k: v for k, v in st.items() if k != "seeds"}
         _build("stability.", check_stability_args, **args)
-        for seed in sec["stability"]["seeds"]:
-            _build("stability.seeds: ", check_stability_args, **args, seed=seed)
+        prefix = "stability.seeds: "
+        if seed_override is not None:
+            st["seeds"], prefix = (seed_override,), "invalid value for --seed: "
+        for seed in st["seeds"]:
+            _build(prefix, check_stability_args, **args, seed=seed)
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
                      evolution=sec["evolution"], stability=sec["stability"],
@@ -516,12 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to INI config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
-        if name == "evolve":  # it neither solves nor perturbs: no seed
+        if name == "evolve":
             p.add_argument("--profile", required=True,
                            help="input profile.csv (must match [grid])")
-        else:
+        if name == "stability":  # the one command that draws random numbers
             p.add_argument("--seed", type=int, default=None,
-                           help="override solver seed / stability seed list")
+                           help="replaces the [stability] seeds list")
     v = sub.add_parser("validate")
     v.add_argument("--out", default=None)
     v.add_argument("--quiet", action="store_true")

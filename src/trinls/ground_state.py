@@ -82,28 +82,18 @@ class SolverConfig:
 
     `residual_tol` is raised to the grid's round-off floor
     (`_residual_target`).  The flow starts from `initial_state` when it is
-    given, else from gaussian bumps on the active components, which `noise`
-    (so only without `initial_state`) seeds with multiplicative complex
-    noise (for basin checks).
+    given, else from gaussian bumps on the active components.
     """
 
     max_iters: int = 5000
     residual_tol: float = 5e-12
-    seed: int = 0
     initial_state: Optional[State] = None
-    noise: float = 0.0
 
     def __post_init__(self):
         check_args(("max_iters", self.max_iters, is_integer, "an integer"),
                    ("max_iters", self.max_iters, lambda n: n >= 1, ">= 1"),
                    ("residual_tol", self.residual_tol,
-                    lambda tol: is_finite(tol) and tol > 0, "finite and > 0"),
-                   ("seed", self.seed, is_integer, "an integer"),
-                   ("seed", self.seed, lambda seed: seed >= 0, ">= 0"),
-                   ("noise", self.noise, lambda x: is_finite(x) and x >= 0,
-                    "finite and >= 0"),
-                   ("noise", self.noise, lambda x: x == 0 or self.initial_state is None,
-                    "0 with a supplied start"))
+                    lambda tol: is_finite(tol) and tol > 0, "finite and > 0"))
 
 
 @dataclass(frozen=True)
@@ -157,11 +147,11 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _initial_array(masses: MassTriple, grid: Grid, cfg: SolverConfig) -> np.ndarray:
-    """A solver's start: the live rows of the supplied state, or gaussian bumps."""
+def _initial_array(masses: MassTriple, grid: Grid,
+                   start: Optional[State]) -> np.ndarray:
+    """A solver's start: the live rows of `start`, or gaussian bumps."""
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
-    start = cfg.initial_state
     if start is not None:
         check_args(("initial_state", start.grid, lambda g: g == grid, f"on {grid}"))
         empty = live[start.masses()[live] == 0.0]
@@ -170,14 +160,8 @@ def _initial_array(masses: MassTriple, grid: Grid, cfg: SolverConfig) -> np.ndar
                              f"cannot rescale it to mass {targets[empty[0]]}")
         u = start.stack()[live]
     else:  # gaussian bumps
-        env = np.exp(-grid.nodes ** 2 / 8.0)
-        rng = np.random.default_rng(cfg.seed)
         u = np.empty((live.size, grid.n), dtype=complex)
-        for row in u:
-            row[:] = env
-            if cfg.noise > 0:
-                row *= 1.0 + cfg.noise * (rng.standard_normal(grid.n)
-                                          + 1j * rng.standard_normal(grid.n))
+        u[:] = np.exp(-grid.nodes ** 2 / 8.0)
     return _project(u, targets[live], grid.spacing)
 
 
@@ -197,9 +181,9 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     `_residual_target(grid, residual_tol)`.  Raises `ConvergenceError`
     (carrying the last accepted, evaluated iterate) after `max_iters`, after
     `_STALL` accepted iterations without a new lowest residual, when the
-    converged lambda is not negative (not a minimizer), or when a target
-    mass underflows to 0.0 on the grid; `StepCollapseError` if the iterate
-    leaves the finite range.
+    converged lambda is not negative (not a minimizer), or when a solved
+    mass underflows below the smallest normal float on the grid;
+    `StepCollapseError` if the iterate leaves the finite range.
     """
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
@@ -207,7 +191,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(masses, grid, cfg)  # (k, n): the live rows
+    u = _initial_array(masses, grid, cfg.initial_state)  # (k, n): the live rows
 
     size = 2 * u.size  # mixing history over the real view of the iterate
     dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
@@ -296,10 +280,10 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
     """The `GroundState` of the live rows u, with multipliers w, at masses m."""
     h = grid.spacing
     achieved = h * np.sum(np.abs(u) ** 2, axis=1)
-    if not achieved.all():  # a positive target the grid's quadrature loses
-        j = np.flatnonzero(achieved == 0)[0]
-        raise ConvergenceError(f"mass {'rst'[live[j]]} = {float(m[j])!r} "
-                               "underflows: the solved component has mass 0.0")
+    if achieved.min() < np.finfo(float).tiny:  # lost to the grid's quadrature
+        j = np.argmin(achieved)
+        raise ConvergenceError(f"mass {'rst'[live[j]]} = {float(m[j])!r} underflows: "
+                               f"the solved component has mass {float(achieved[j])!r}")
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
     ul = u.astype(np.clongdouble)
     kin, inter = _energy_terms(ul, grid, a, p)
@@ -333,7 +317,7 @@ def refine_fixed_point(state: State, model: CouplingModel,
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, 1e-11)
-    u = _initial_array(masses, grid, SolverConfig(initial_state=state))  # live rows
+    u = _initial_array(masses, grid, state)  # live rows
     w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):

@@ -15,7 +15,7 @@ Gradient convention: the first variation of H along a perturbation d is
 so a constrained minimizer satisfies G_j + w_j u_j = 0, where the w_j are the
 Lagrange multipliers of the three mass constraints.  The oracles that
 `trinls validate` runs are here too: the sech profile, the single-component
-minimum values and a finite-difference check of G.
+minimum values and a finite-difference check of the G the flow computes.
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ class MassTriple:
     t: float
 
     def __post_init__(self):
-        check_args(*((name, getattr(self, name), lambda m: is_finite(m) and m >= 0,
-                      "finite and >= 0") for name in ("r", "s", "t")),
+        tiny = float(np.finfo(float).tiny)  # below it a mass has lost digits
+        rules = ((lambda m: is_finite(m) and m >= 0, "finite and >= 0"),
+                 (lambda m: m == 0 or m >= tiny, f"0 or >= {tiny!r}"))
+        check_args(*((name, getattr(self, name), test, text)
+                     for name in ("r", "s", "t") for test, text in rules),
                    ("t", self.t, lambda t: self.r + self.s + t > 0, "> 0 if r = s = 0"))
 
     @property
@@ -135,12 +138,6 @@ def _nonlinearity(u: np.ndarray, a: np.ndarray, p: float,
         return coef * u
     mod = np.abs(u) if mod is None else mod
     return coef * mod ** (p - 2.0) * u
-
-
-def _gradient_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float) -> np.ndarray:
-    k2 = grid.wavenumbers ** 2
-    lap = ifft(-k2 * fft(u, axis=-1), axis=-1)
-    return -lap - _nonlinearity(u, a, p)
 
 
 def _energy_terms(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
@@ -269,11 +266,12 @@ def random_smooth_state(grid: Grid, rng, amplitude: float = 0.5) -> np.ndarray:
 
 def gradient_fd_error(grid: Grid, model: CouplingModel, rng) -> float:
     """Worst relative gap between 2 Re<G, d> and (H(u + eps d) - H(u - eps d))
-    / (2 eps), eps = 1e-5, over 20 `random_smooth_state` pairs (u, d)."""
+    / (2 eps), eps = 1e-5, over 20 `random_smooth_state` pairs (u, d).  G is
+    the flow's own: the inverse transform of `_el_residual_array` at w = 0."""
     eps, worst = 1e-5, 0.0
     for _ in range(20):
         u, d = random_smooth_state(grid, rng), random_smooth_state(grid, rng)
-        G = _gradient_array(u, grid, model.a, model.p)
+        G = ifft(_el_residual_array(u, np.zeros(3), grid, model.a, model.p)[1], axis=-1)
         pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
         fd = (_energy_array(u + eps * d, grid, model.a, model.p)
               - _energy_array(u - eps * d, grid, model.a, model.p)) / (2 * eps)

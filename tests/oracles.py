@@ -7,10 +7,11 @@ these, so they live beside the tests and not in the library:
                   rearrangement of the Polya-Szego and Hardy-Littlewood
                   steps), integrate, mass, spectral_derivative, h1_inner,
                   translate
-    model         energy_gradient, two_component_profile, apply_symmetry,
-                  gn_ratio, gn_sharp_constant, PhaseDiagnostics,
-                  phase_diagnostics
-    ground_state  two_component_min, ConcentrationProfile, concentration
+    model         gradient_array, energy_gradient, two_component_profile,
+                  apply_symmetry, gn_ratio, gn_sharp_constant,
+                  PhaseDiagnostics, phase_diagnostics
+    ground_state  noisy_start, two_component_min, ConcentrationProfile,
+                  concentration
 
 Conventions as in `trinls.spectral`:
     integrate(f) = h * sum(f)    and    mass(f) = integrate(|f|^2)
@@ -25,8 +26,7 @@ import numpy as np
 from scipy.fft import fft, ifft
 
 from trinls.ground_state import GroundState, SolverConfig, minimize
-from trinls.model import (CouplingModel, MassTriple, State, _gradient_array,
-                          sech_profile)
+from trinls.model import CouplingModel, MassTriple, State, _nonlinearity, sech_profile
 from trinls.spectral import (Field, Grid, _rearrange_samples, _samples,
                              require_same_grid)
 
@@ -104,9 +104,17 @@ def rearrange(f: RealField) -> RealField:
 # model: the gradient, closed forms, symmetries, interpolation and phase
 # ---------------------------------------------------------------------------
 
+def gradient_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float) -> np.ndarray:
+    """G = -u'' - N(u) of a (k, n) array, in the literal form: independent of
+    the residual kernel through which the flow and `validate` form it."""
+    k2 = grid.wavenumbers ** 2
+    lap = ifft(-k2 * fft(u, axis=-1), axis=-1)
+    return -lap - _nonlinearity(u, a, p)
+
+
 def energy_gradient(state: State, model: CouplingModel) -> State:
     """Gradient G with dH(state)[d] = 2*Re<G, d>_{L^2}."""
-    G = _gradient_array(state.stack(), state.grid, model.a, model.p)
+    G = gradient_array(state.stack(), state.grid, model.a, model.p)
     return State.from_array(state.grid, G)
 
 
@@ -187,8 +195,23 @@ def phase_diagnostics(f: Field) -> PhaseDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# ground_state: the reduced two-component problem and concentration
+# ground_state: a perturbed start, the reduced two-component problem and
+# concentration
 # ---------------------------------------------------------------------------
+
+def noisy_start(masses: MassTriple, grid: Grid, noise: float, seed: int) -> State:
+    """The flow's gaussian bumps times 1 + noise * (complex standard normal
+    samples), for basin checks as `SolverConfig(initial_state=...)`: each
+    component with positive mass, in order, draws its real then its
+    imaginary parts from one `default_rng(seed)`; the others are zero."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((3, grid.n), dtype=complex)
+    for j in np.flatnonzero(masses.as_array() > 0):
+        u[j] = np.exp(-grid.nodes ** 2 / 8.0)
+        u[j] *= 1.0 + noise * (rng.standard_normal(grid.n)
+                               + 1j * rng.standard_normal(grid.n))
+    return State.from_array(grid, u)
+
 
 def two_component_min(alpha1: float, alpha2: float, beta: float,
                       a1: float, a2: float, grid: Grid,

@@ -1,16 +1,21 @@
 """CLI contracts: config validation, file formats, exit codes, determinism."""
 
+import argparse
+import configparser
 import csv
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from hypothesis.extra.numpy import arrays
 
 import trinls as t
 from trinls.cli import (_BLOCK, _SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
-                        load_config, main, read_profile_csv, write_profile_csv)
+                        _build_parser, load_config, main, read_profile_csv,
+                        write_profile_csv)
 from trinls.evolution import check_evolve_args
 from trinls.stability import check_stability_args
 
@@ -43,8 +49,9 @@ s = 0.0
 t = 0.0
 
 [solver]
-seed = 0
+residual_tol = 5e-12
 """
+TOL_LINE = "residual_tol = 5e-12"  # the line of BASE that edits anchor on
 
 
 # every schema key but solver.init_profile, which needs a profile file
@@ -53,8 +60,7 @@ FULL_CFG = {
     "coupling": {k: "1.0" for k in ("a11", "a12", "a13", "a22", "a23", "a33")}
     | {"p": "2.0"},
     "masses": {"r": "1.0", "s": "1.0", "t": "1.0"},
-    "solver": {"max_iters": "50", "residual_tol": "5e-12", "seed": "0",
-               "noise": "0.0"},
+    "solver": {"max_iters": "50", "residual_tol": "5e-12"},
     "evolution": {"t": "1.0", "dt": "1e-3", "snapshot_every": "0"},
     "stability": {"kind": "mass_preserving_random", "delta": "1e-3",
                   "eps": "0.02", "seeds": "0,1", "sample_every": "100"},
@@ -85,7 +91,7 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[solver]\nbogus = 1\n")
         # configparser raises on duplicate section; use a fresh unknown key
-        cfg = write_config(tmp_path, BASE.replace("seed = 0", "seed = 0\nbogus = 1"))
+        cfg = write_config(tmp_path, BASE.replace(TOL_LINE, f"{TOL_LINE}\nbogus = 1"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "bogus" in capsys.readouterr().err
 
@@ -106,7 +112,7 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("key, text", [
-        ("solver.max_iters", BASE.replace("seed = 0", "max_iters = many")),
+        ("solver.max_iters", BASE.replace(TOL_LINE, "max_iters = many")),
         ("evolution.snapshot_every", BASE + "\n[evolution]\nt = 1.0\n"
          "dt = 1e-3\nsnapshot_every = abc\n"),
         ("stability.sample_every", BASE + "\n[stability]\ndelta = 1e-3\n"
@@ -125,16 +131,14 @@ class TestConfigValidation:
         ("stability.sample_every", BASE + "\n[stability]\ndelta = 1e-3\n"
          "sample_every = 0\n"),
         ("stability.delta", BASE + "\n[stability]\ndelta = -1e-3\n"),
-        ("solver.seed", BASE.replace("seed = 0", "seed = -1")),
         ("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\nseeds = -1\n"),
         pytest.param("stability.seeds", BASE + "\n[stability]\ndelta = 1e-3\n"
                      "seeds = 0,0\n", id="stability.seeds-repeated"),
-        ("solver.noise", BASE.replace("seed = 0", "seed = 0\nnoise = -1")),
-        ("solver.max_iters", BASE.replace("seed = 0", "seed = 0\nmax_iters = 0")),
-        ("solver.init_profile", BASE.replace("seed = 0",
-                                             "seed = 0\ninit_profile = x.csv")),
+        ("solver.max_iters", BASE.replace(TOL_LINE, f"{TOL_LINE}\nmax_iters = 0")),
+        ("solver.init_profile", BASE.replace(TOL_LINE,
+                                             f"{TOL_LINE}\ninit_profile = x.csv")),
         # blank: read as a path (the working directory), not as "no profile"
-        ("solver.init_profile", BASE.replace("seed = 0", "seed = 0\ninit_profile =")),
+        ("solver.init_profile", BASE.replace(TOL_LINE, f"{TOL_LINE}\ninit_profile =")),
         ("evolution.t", BASE + "\n[evolution]\nt = 1e300\ndt = 1e-3\n"),
         pytest.param("evolution.dt", BASE + "\n[evolution]\nt = 1.0\n",
                      id="evolution.dt-missing"),
@@ -165,7 +169,7 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["solve", "stability"])
+    @pytest.mark.parametrize("command", ["stability"])
     def test_negative_seed_flag_names_flag(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, STAB_CFG)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
@@ -176,15 +180,17 @@ class TestConfigValidation:
         ["solve", "--config", "run.ini", "--bogus"],
         ["solve", "--out", "o"],
         ["evolve", "--config", "run.ini", "--profile", "p.csv", "--seed", "1"],
-    ], ids=["unknown-flag", "missing-config", "evolve-seed"])
+        ["solve", "--config", "run.ini", "--seed", "1"],
+        ["subadd", "--config", "run.ini", "--seed", "1"],
+    ], ids=["unknown-flag", "missing-config", "evolve-seed", "solve-seed", "subadd-seed"])
     def test_usage_error_exits_1(self, capsys, argv):
-        # exit 2 means non-convergence; evolve neither solves nor perturbs,
-        # so a seed there would be checked and then ignored
+        # exit 2 means non-convergence; only stability draws random numbers,
+        # so a seed on another command would be checked and then ignored
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: trinls ") and "error: " in err
 
-    def test_seed_flag_rule_is_solver_configs(self, tmp_path):
+    def test_seed_flag_rule_is_check_stability_args(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^invalid value for --seed: "
                                               r"seed must be >= 0, got -1$"):
             load_config(write_config(tmp_path, STAB_CFG), seed_override=-1)
@@ -200,12 +206,12 @@ class TestConfigValidation:
     def test_seed_flag_replaces_seed_list(self, tmp_path):
         cfg = load_config(write_config(tmp_path, STAB_CFG), seed_override=5)
         assert cfg.stability["seeds"] == (5,)
-        assert cfg.solver.seed == 5
 
     def test_unparsable_file(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE.replace("seed = 0", "seed = 0\nseed = 1"))
+        cfg = write_config(tmp_path, BASE.replace(
+            TOL_LINE, f"{TOL_LINE}\nresidual_tol = 1e-11"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "seed" in capsys.readouterr().err
+        assert "residual_tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section", [
         ("evolve", "[evolution]"), ("stability", "[stability]"),
@@ -329,10 +335,12 @@ class TestConfigValidation:
         ("solver", "refine = true"),
         ("solver", "scheme = explicit"),
         ("solver", "tau = 1.0"),
+        ("solver", "seed = 0"),
+        ("solver", "noise = 0.0"),
         ("output", "formats = json,csv"),
     ])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, line):
-        text = (BASE.replace("seed = 0", f"seed = 0\n{line}") if section == "solver"
+        text = (BASE.replace(TOL_LINE, f"{TOL_LINE}\n{line}") if section == "solver"
                 else BASE + f"\n[output]\n{line}\n")
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -357,18 +365,6 @@ class TestConfigValidation:
         # without a rule fails here
         params = set(inspect.signature(check).parameters)
         assert set(_SCHEMA[section][1]) - {"seeds"} <= params
-
-    def test_noise_with_init_profile_rejected(self, tmp_path, capsys):
-        # noise seeds only the gaussian start: with a profile start it would
-        # be accepted and ignored
-        grid = t.make_grid(512, 40.0)
-        u = np.zeros((3, 512), dtype=complex)
-        u[0] = np.exp(-grid.nodes ** 2)
-        write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
-        cfg = write_config(tmp_path, BASE.replace(
-            "seed = 0", f"seed = 0\nnoise = 0.1\ninit_profile = {tmp_path / 'p.csv'}"))
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "config error: solver.noise" in capsys.readouterr().err
 
     def test_grid_too_large_to_allocate(self, tmp_path, capsys):
         # 2**40 nodes: numpy refuses the 8 TiB node array at once
@@ -415,6 +411,116 @@ class TestConfigValidation:
         assert str(out / blocked) in err
 
 
+def subparsers():
+    """Command name -> its argparse parser."""
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def flags(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+# A second valid value for every key but output.dir (which --out overrides),
+# and the command that reads it; "{profile}" is the base run's solve output.
+SECOND_VALUES = {
+    ("grid", "n"): ("512", "solve"),
+    ("grid", "length"): ("30.0", "solve"),
+    **{("coupling", k): ("1.1", "solve")
+       for k in ("a11", "a12", "a13", "a22", "a23", "a33")},
+    ("coupling", "p"): ("2.5", "solve"),
+    **{("masses", k): ("1.2", "solve") for k in ("r", "s", "t")},
+    ("solver", "max_iters"): ("2", "solve"),
+    ("solver", "residual_tol"): ("1e-6", "solve"),
+    ("solver", "init_profile"): ("{profile}", "solve"),
+    ("evolution", "t"): ("0.2", "evolve"),
+    ("evolution", "dt"): ("5e-4", "evolve"),
+    ("evolution", "snapshot_every"): ("50", "evolve"),
+    ("stability", "kind"): ("random_h1", "stability"),
+    ("stability", "delta"): ("2e-3", "stability"),
+    ("stability", "eps"): ("0.03", "stability"),
+    ("stability", "seeds"): ("1", "stability"),
+    ("stability", "sample_every"): ("25", "stability"),
+    ("subadd", "splits"): ("0.25,0.5,0.5", "subadd"),
+}
+SEED_COMMANDS = sorted(name for name, parser in subparsers().items()
+                       if "--seed" in flags(parser))
+
+
+class TestEveryKeyIsRead:
+    """A key or flag that is accepted and then ignored fails here: a second
+    valid value must change the exit code or the scientific files of the
+    command that reads it."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """(run, outcome): `run(sections, command, extra)` runs the command
+        on the probe config edited by `sections`; outcome[command] is the
+        base config's (exit code, scientific files)."""
+        root = tmp_path_factory.mktemp("probe")
+        profile = root / "0" / "solve" / "profile.csv"  # the first run's
+        probe = {name: dict(rows) for name, rows in FULL_CFG.items()}
+        probe["evolution"]["t"] = "0.1"
+        probe["stability"].update(seeds="0", sample_every="50")
+        runs = itertools.count()
+
+        def run(edits, command, extra=()):
+            d = root / str(next(runs))
+            d.mkdir()
+            sections = {name: rows | edits.get(name, {}) for name, rows in probe.items()}
+            (d / "run.ini").write_text("".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+                for name, rows in sections.items()))
+            if command == "evolve":
+                extra = ["--profile", str(profile), *extra]
+            code = main([command, "--config", str(d / "run.ini"),
+                         "--out", str(d / command), "--quiet", *extra])
+            return code, scientific_files(d / command)
+
+        outcome = {command: run({}, command)
+                   for command in ("solve", "evolve", "stability", "subadd")}
+        assert all(code == 0 for code, _ in outcome.values())
+        return run, outcome, profile
+
+    def test_every_key_is_probed(self):
+        assert set(SECOND_VALUES) | {("output", "dir")} == {
+            (section, key) for section, (_, rows) in _SCHEMA.items() for key in rows}
+        assert SEED_COMMANDS == ["stability"]
+
+    @pytest.mark.parametrize("section, key", sorted(SECOND_VALUES),
+                             ids=lambda v: v)
+    def test_key_changes_the_run(self, base, section, key):
+        run, outcome, profile = base
+        value, command = SECOND_VALUES[section, key]
+        edited = run({section: {key: value.format(profile=profile)}}, command)
+        assert edited != outcome[command]
+
+    @pytest.mark.parametrize("command", SEED_COMMANDS)
+    def test_seed_flag_changes_the_run(self, base, command):
+        run, outcome, _ = base
+        assert run({}, command, ["--seed", "3"]) != outcome[command]
+
+
+class TestReadme:
+    """README's config block and command synopsis list what the code takes."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_config_block_has_the_schema_keys(self):
+        block = re.search(r"```ini\n(.*?)```", self.TEXT, re.S).group(1)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                           interpolation=None)
+        parser.read_string(block)
+        assert {name: set(parser[name]) for name in parser.sections()} == {
+            name: set(rows) for name, (_, rows) in _SCHEMA.items()}
+
+    def test_synopsis_lists_each_commands_flags(self):
+        block = re.search(r"## Command line\n\n```\n(.*?)```", self.TEXT, re.S).group(1)
+        listed = {line.split()[1]: set(re.findall(r"--[a-z]+", line))
+                  for line in block.splitlines()}
+        assert listed == {name: flags(p) for name, p in subparsers().items()}
+
+
 class TestSolve:
     def test_single_component_preset(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -457,21 +563,9 @@ class TestSolve:
         assert (quiet / "metadata.json").exists()
         assert scientific_files(quiet) == scientific_files(loud)
 
-    def test_seed_override_changes_metadata_not_result(self, tmp_path):
-        # different seeds still converge to the same minimizer
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["solve", "--config", cfg, "--out", str(out1), "--quiet",
-                     "--seed", "1"]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(out2), "--quiet",
-                     "--seed", "2"]) == 0
-        a = json.loads((out1 / "groundstate.json").read_text())
-        b = json.loads((out2 / "groundstate.json").read_text())
-        assert a["lambda"] == pytest.approx(b["lambda"], rel=1e-9)
-
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace(
-            "seed = 0", "seed = 0\nmax_iters = 2"))
+            TOL_LINE, f"{TOL_LINE}\nmax_iters = 2"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
 
@@ -483,13 +577,22 @@ class TestSolve:
         assert "iteration 0" in capsys.readouterr().err
 
     def test_underflowing_mass_exit_code(self, tmp_path, capsys):
-        # the solved mass rounds to 0.0: a solver error, not a traceback
-        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 5e-324")
-                           .replace("n = 512", "n = 256"))
+        # at the smallest normal target the solved mass is subnormal: a
+        # solver error, not a traceback from the achieved masses' rule
+        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 2.2250738585072014e-308")
+                           .replace("n = 512", "n = 256").replace("length = 40.0",
+                                                                  "length = 30.0"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(
-            "solve failed: mass r = 5e-324 underflows")
+            "solve failed: mass r = 2.2250738585072014e-308 underflows")
+
+    def test_subnormal_mass_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 1e-323"))
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: masses.r must be 0 or >= 2.2250738585072014e-308, got 1e-323\n")
 
     @pytest.mark.parametrize("command, extra", [
         ("stability", "\n[evolution]\nt = 0.1\ndt = 1e-3\n"
@@ -498,7 +601,7 @@ class TestSolve:
     def test_nonconvergence_exit_code_every_command(self, tmp_path, capsys,
                                                     command, extra):
         cfg = write_config(tmp_path, BASE.replace(
-            "seed = 0", "seed = 0\nmax_iters = 2") + extra)
+            TOL_LINE, f"{TOL_LINE}\nmax_iters = 2") + extra)
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert "solve failed" in capsys.readouterr().err
@@ -508,8 +611,8 @@ class TestSolve:
         first = tmp_path / "first"
         assert main(["solve", "--config", cfg, "--out", str(first), "--quiet"]) == 0
         resume = BASE.replace(
-            "seed = 0",
-            f"seed = 0\ninit_profile = {first / 'profile.csv'}")
+            TOL_LINE,
+            f"{TOL_LINE}\ninit_profile = {first / 'profile.csv'}")
         cfg2 = write_config(tmp_path, resume, name="resume.ini")
         out = tmp_path / "second"
         assert main(["solve", "--config", cfg2, "--out", str(out), "--quiet"]) == 0
@@ -518,8 +621,8 @@ class TestSolve:
 
     def test_supplied_init_missing_file(self, tmp_path, capsys):
         broken = BASE.replace(
-            "seed = 0",
-            f"seed = 0\ninit_profile = {tmp_path / 'gone.csv'}")
+            TOL_LINE,
+            f"{TOL_LINE}\ninit_profile = {tmp_path / 'gone.csv'}")
         cfg = write_config(tmp_path, broken, name="broken.ini")
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -529,7 +632,7 @@ class TestSolve:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3\n1,2,abc,4,5,6,7\n")
         text = BASE.replace(
-            "seed = 0", f"seed = 0\ninit_profile = {bad}")
+            TOL_LINE, f"{TOL_LINE}\ninit_profile = {bad}")
         cfg = write_config(tmp_path, text, name="malformed.ini")
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -542,7 +645,7 @@ class TestSolve:
         u[0] = np.exp(-grid.nodes ** 2)
         write_profile_csv(tmp_path / "p.csv", t.State.from_array(grid, u))
         text = BASE.replace("s = 0.0", "s = 1.0").replace(
-            "seed = 0", f"seed = 0\ninit_profile = {tmp_path / 'p.csv'}")
+            TOL_LINE, f"{TOL_LINE}\ninit_profile = {tmp_path / 'p.csv'}")
         cfg = write_config(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 1
@@ -637,7 +740,7 @@ class TestEvolve:
             argv = ["evolve", "--config", cfg, "--profile", str(path)]
         else:
             cfg = write_config(tmp_path, BASE.replace(
-                "seed = 0", f"seed = 0\ninit_profile = {path}"))
+                TOL_LINE, f"{TOL_LINE}\ninit_profile = {path}"))
             argv = ["solve", "--config", cfg]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. numpy's "input contained no data"

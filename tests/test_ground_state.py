@@ -13,7 +13,7 @@ import pytest
 
 import trinls as t
 from trinls.ground_state import _project
-from trinls.model import _el_residual_array, _gradient_array, _multiplier_array
+from trinls.model import _el_residual_array, _multiplier_array
 from trinls.tolerances import DEFAULT as TOLS
 
 import oracles
@@ -22,6 +22,7 @@ import oracles
 # coupling of the wide command-line preset (p = 2.5, n = 4096, L = 80)
 ASYMMETRIC_A = np.array([[1.0, 0.7, 0.5], [0.7, 1.3, 0.9], [0.5, 0.9, 0.8]])
 ULP = np.spacing(4 / 3)
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def align_to_center(values):
@@ -45,7 +46,7 @@ def explicit_flow(model, masses, grid, tol, max_iters=60000):
             full = np.zeros((3, grid.n), complex)
             full[live] = u
             return t.State.from_array(grid, full)
-        u = _project(u - tau * _gradient_array(u, grid, a, p), m, h)
+        u = _project(u - tau * oracles.gradient_array(u, grid, a, p), m, h)
     raise AssertionError(f"no convergence in {max_iters} iterations")
 
 
@@ -92,8 +93,9 @@ class TestSolverContracts:
             assert abs(m - target) <= TOLS.projection_rel * target
 
     def test_energy_monotone(self, grid40, model_ones):
-        cfg = t.SolverConfig(noise=0.1, seed=3)
-        gs = t.minimize(model_ones, t.MassTriple(1.0, 1.5, 0.8), grid40, cfg)
+        masses = t.MassTriple(1.0, 1.5, 0.8)
+        cfg = t.SolverConfig(initial_state=oracles.noisy_start(masses, grid40, 0.1, 3))
+        gs = t.minimize(model_ones, masses, grid40, cfg)
         e = np.array(gs.energy_history)
         assert np.all(np.diff(e) <= TOLS.energy_monotone_slack)
 
@@ -106,8 +108,9 @@ class TestSolverContracts:
         assert np.all(kin > 0)
 
     def test_phase_constancy_from_noisy_start(self, grid40, model_ones):
-        cfg = t.SolverConfig(noise=0.2, seed=11)
-        gs = t.minimize(model_ones, t.MassTriple(1.0, 1.0, 1.0), grid40, cfg)
+        masses = t.MassTriple(1.0, 1.0, 1.0)
+        cfg = t.SolverConfig(initial_state=oracles.noisy_start(masses, grid40, 0.2, 11))
+        gs = t.minimize(model_ones, masses, grid40, cfg)
         for f in (gs.profile.u1, gs.profile.u2, gs.profile.u3):
             diag = oracles.phase_diagnostics(f)
             assert diag.max_deviation <= TOLS.phase_constancy
@@ -163,21 +166,23 @@ class TestSolverContracts:
                        t.SolverConfig(max_iters=3))
         assert type(info.value) is error
 
-    @pytest.mark.parametrize("masses, name", [((5e-324, 0.0, 0.0), "r"),
-                                              ((0.0, 0.0, 5e-324), "t")])
+    @pytest.mark.parametrize("masses, name", [((TINY, 0.0, 0.0), "r"),
+                                              ((0.0, 0.0, TINY), "t")])
     def test_underflowing_mass_is_a_convergence_error(self, model_ones, masses,
                                                       name):
-        # the solved component's mass rounds to 0.0 on the grid: the error
-        # names that target, not the achieved masses' MassTriple rule
+        # at the smallest normal target the solved mass comes out one ulp
+        # below it, a subnormal: the error names that target, not the
+        # achieved masses' MassTriple rule
         with pytest.raises(t.ConvergenceError,
-                           match=f"^mass {name} = 5e-324 underflows"):
+                           match=f"^mass {name} = {TINY!r} underflows: the solved "
+                                 f"component has mass {float(np.nextafter(TINY, 0))!r}$"):
             t.minimize(model_ones, t.MassTriple(*masses), t.make_grid(256, 30.0))
 
     def test_non_negative_minimum_is_not_a_minimizer(self, model_ones):
-        # at r = 1e-320 the converged lambda rounds to a positive subnormal
+        # at r = 1e-300 the converged lambda rounds to a positive subnormal
         with pytest.raises(t.ConvergenceError,
                            match="^converged to non-negative energy") as err:
-            t.minimize(model_ones, t.MassTriple(1e-320, 0.0, 0.0),
+            t.minimize(model_ones, t.MassTriple(1e-300, 0.0, 0.0),
                        t.make_grid(256, 30.0))
         last = err.value.last
         assert last is not None and not last.lam < 0
@@ -199,18 +204,10 @@ class TestSolverContracts:
         assert abs(t.energy(state, model_ones) + 4 / 3) <= 1e-3
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "5"),
-        ("seed", -1), ("seed", 1.5), ("seed", None), ("noise", -1.0),
-        ("noise", float("nan"))])
+        ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "5")])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             t.SolverConfig(**{field: value})
-
-    def test_noise_needs_gaussian_start(self, gs_equal):
-        # noise seeds only the gaussian start: with a supplied one it would
-        # be accepted and ignored
-        with pytest.raises(ValueError, match="^noise must be 0 with a supplied start"):
-            t.SolverConfig(noise=0.1, initial_state=gs_equal.profile)
 
     def test_zero_component_cannot_be_projected(self, grid40, model_ones):
         u = np.zeros((3, grid40.n), dtype=complex)
@@ -305,10 +302,11 @@ class TestAndersonMixing:
         # The stall exit is switched off so the guard runs the whole budget.
         monkeypatch.setattr("trinls.ground_state._STALL", max_iters + 1)
         model = t.CouplingModel(np.full((3, 3), 1.054), 2.36)
-        cfg = t.SolverConfig(noise=0.2, seed=54, max_iters=max_iters)
+        masses, grid = t.MassTriple(0.0, 3.76, 0.0), t.make_grid(256, 40.0)
+        cfg = t.SolverConfig(max_iters=max_iters,
+                             initial_state=oracles.noisy_start(masses, grid, 0.2, 54))
         with pytest.raises(t.ConvergenceError) as err:
-            t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
-                       t.make_grid(256, 40.0), cfg)
+            t.minimize(model, masses, grid, cfg)
         gs = err.value.last
         assert gs.iterations == max_iters
         assert t.el_residual(gs.profile, gs.multipliers, model) <= 1e-8
@@ -317,10 +315,10 @@ class TestAndersonMixing:
         # the same stalled start: no new lowest residual for 50 iterations
         # ends the solve long before max_iters = 5000
         model = t.CouplingModel(np.full((3, 3), 1.054), 2.36)
-        cfg = t.SolverConfig(noise=0.2, seed=54)
+        masses, grid = t.MassTriple(0.0, 3.76, 0.0), t.make_grid(256, 40.0)
+        cfg = t.SolverConfig(initial_state=oracles.noisy_start(masses, grid, 0.2, 54))
         with pytest.raises(t.ConvergenceError, match="the last 50 without") as info:
-            t.minimize(model, t.MassTriple(0.0, 3.76, 0.0),
-                       t.make_grid(256, 40.0), cfg)
+            t.minimize(model, masses, grid, cfg)
         last = info.value.last
         assert last.iterations <= 150
         assert f"residual {last.residual:.3e}" in str(info.value)

@@ -56,6 +56,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             t.MassTriple(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["r", "s", "t"])
+    def test_mass_triple_rejects_subnormal(self, name):
+        # a subnormal target has lost digits: r = 1e-323 was solved to a
+        # mass 50% off and reported as a non-negative energy
+        with pytest.raises(ValueError, match=rf"^{name} must be 0 or >= "
+                                             r"2\.2250738585072014e-308, got 1e-323$"):
+            t.MassTriple(**{"r": 0.0, "s": 0.0, "t": 0.0, name: 1e-323})
+
     @pytest.mark.parametrize("call, message", [
         (lambda: t.minimize(t.CouplingModel(np.ones((3, 3)), 2.0),
                             t.MassTriple(np.nan, 1, 1), t.make_grid(256, 30.0)),
@@ -68,7 +76,6 @@ class TestValidation:
          "length must be finite, with length / 16 > 0, got inf"),
         (lambda: t.SolverConfig(residual_tol=np.inf),
          "residual_tol must be finite and > 0, got inf"),
-        (lambda: t.SolverConfig(noise=np.inf), "noise must be finite and >= 0, got inf"),
         (lambda: t.make_grid(16.0, 10.0), "n must be an integer, got 16.0"),
         (lambda: t.make_grid("16", 10.0), "n must be an integer, got '16'"),
         (lambda: t.MassTriple("1", 0, 0), "r must be finite and >= 0, got '1'"),
@@ -84,7 +91,7 @@ class TestValidation:
         (lambda: t.CouplingModel([["1"] * 3] * 3, 2.0), "a11 must be finite and > 0, got '1'"),
         (lambda: t.CouplingModel([["x"] * 3] * 3, 2.0), "a11 must be finite and > 0, got 'x'"),
     ], ids=["nan-mass", "inf-mass", "inf-coupling", "inf-length", "inf-residual_tol",
-            "inf-noise", "float-n", "str-n", "str-mass", "huge-int-length", "huge-int-n",
+            "float-n", "str-n", "str-mass", "huge-int-length", "huge-int-n",
             "unindexable-n", "huge-int-mass", "huge-int-residual_tol", "str-coupling",
             "non-numeric-coupling"])
     def test_non_finite_or_mistyped_argument_named(self, call, message):
