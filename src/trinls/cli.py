@@ -176,7 +176,7 @@ def _split_parts(split: tuple, total: MassTriple) -> tuple:
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     """The run at `path`; `seed_override` (`stability --seed`) replaces the
-    [stability] seeds list."""
+    [stability] seeds list, and a config without one is an error."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     try:
@@ -235,6 +235,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             st["seeds"], prefix = (seed_override,), "invalid value for --seed: "
         for seed in st["seeds"]:
             _build(prefix, check_stability_args, **args, seed=seed)
+    elif seed_override is not None:
+        raise ConfigError("[stability] section required for --seed")
 
     return RunConfig(grid=grid, model=model, masses=masses, solver=solver,
                      evolution=sec["evolution"], stability=sec["stability"],

@@ -10,11 +10,15 @@ The flow steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with
 w_j and the residual re-extracted every iteration by the `model` kernels the
 polish and `el_residual` use (relative to the prescribed masses here).  The
 fixed point of step + projection g(u) is exactly the Euler-Lagrange state.
-With s_j = w_j the step is the Green-kernel sweep below.  g is Anderson-mixed
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last `_DEPTH` iterate
-and step differences; a mixed iterate that raises the energy beyond the
-monotonicity slack, or the residual above `_RESIDUAL_GROWTH` times the
-lowest one reached, gives way to the plain step and the history is cleared.
+The shift s_j is w_j above a floor and a fallback below it (`_shift`): 1e-3
+and 0.5 at L = 40, both scaled by (40 / L)^2, as the multipliers scale under
+the mass-scaling law, so a scaled problem on its scaled box takes about as
+many iterations.  With s_j = w_j the step is the Green-kernel sweep below.
+g is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the
+last `_DEPTH` iterate and step differences; a mixed iterate that raises the
+energy beyond the monotonicity slack, or the residual above
+`_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain step
+and the history is cleared.
 About 15 iterations reach the round-off floor; `_STALL` accepted iterations
 without a new lowest residual mean a floor above the target, and end the
 flow.
@@ -29,7 +33,9 @@ formed once, when the `GroundState` is packaged; a zero-mass one is an exact
 Every `GroundState` reports lambda = H(u) + sum_j w_j (Q_j(u) - m_j) in
 extended precision, rounded once: the minimum value at the masses m, with the
 mass error of the projection's rounding corrected to first order, so lambda
-does not depend on the path the iterates took.
+does not depend on the path the iterates took.  At p != 2 the moduli |u|^p
+are formed in double and widened (a long-double power was most of the
+lambda pass), which keeps lambda within an ulp of the all-long-double value.
 
 The independent cross-check `refine_fixed_point` rewrites the Euler-Lagrange
 system as u_j = E_{w_j} * N_j(u), where E_w is the Green kernel of
@@ -172,6 +178,14 @@ def _residual_target(grid: Grid, tol: float) -> float:
     return max(tol, float(np.finfo(float).eps * np.max(grid.wavenumbers ** 2)))
 
 
+def _shift(w: np.ndarray, grid: Grid) -> np.ndarray:
+    """The flow's preconditioner shifts s_j: w_j above the floor, else the
+    fallback.  Both scale like the multipliers, with the grid's smallest
+    non-zero k^2 = (2 pi / L)^2, and take their named values at L = 40."""
+    scale = (40.0 / grid.length) ** 2
+    return np.where(w > _SHIFT_FLOOR * scale, w, _SHIFT_FALLBACK * scale)
+
+
 def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
              cfg: SolverConfig = SolverConfig()) -> GroundState:
     """Minimize H over the mass-constraint set; returns the ground state.
@@ -231,8 +245,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             break
         e_prev = E
 
-        s = np.where(w > _SHIFT_FLOOR, w, _SHIFT_FALLBACK)[:, None]
-        g = _project(ifft(uh - rh / (k2 + s), axis=-1), m, h)
+        g = _project(ifft(uh - rh / (k2 + _shift(w, grid)[:, None]), axis=-1), m, h)
 
         x = u.view(float).ravel()  # real views of the iterate and the step
         gx = g.view(float).ravel()
@@ -284,9 +297,11 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
         j = np.argmin(achieved)
         raise ConvergenceError(f"mass {'rst'[live[j]]} = {float(m[j])!r} underflows: "
                                f"the solved component has mass {float(achieved[j])!r}")
-    # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision
+    # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision from
+    # |u|^p in double at p != 2 (a long-double pow would be most of the pass)
     ul = u.astype(np.clongdouble)
-    kin, inter = _energy_terms(ul, grid, a, p)
+    mod_p = None if p == 2 else (np.abs(u) ** p).astype(np.longdouble)
+    kin, inter = _energy_terms(ul, grid, a, p, mod_p=mod_p)
     dq = h * np.sum(np.abs(ul) ** 2, axis=1) - m
     lam = float(np.sum(kin) - np.sum(inter) / p + np.sum(w * dq))
     return GroundState(

@@ -10,8 +10,8 @@ these, so they live beside the tests and not in the library:
     model         gradient_array, energy_gradient, two_component_profile,
                   apply_symmetry, gn_ratio, gn_sharp_constant,
                   PhaseDiagnostics, phase_diagnostics
-    ground_state  noisy_start, two_component_min, ConcentrationProfile,
-                  concentration
+    ground_state  noisy_start, lambda_long_double, two_component_min,
+                  ConcentrationProfile, concentration
 
 Conventions as in `trinls.spectral`:
     integrate(f) = h * sum(f)    and    mass(f) = integrate(|f|^2)
@@ -26,7 +26,8 @@ import numpy as np
 from scipy.fft import fft, ifft
 
 from trinls.ground_state import GroundState, SolverConfig, minimize
-from trinls.model import CouplingModel, MassTriple, State, _nonlinearity, sech_profile
+from trinls.model import (CouplingModel, MassTriple, State, _energy_terms,
+                          _nonlinearity, sech_profile)
 from trinls.spectral import (Field, Grid, _rearrange_samples, _samples,
                              require_same_grid)
 
@@ -211,6 +212,22 @@ def noisy_start(masses: MassTriple, grid: Grid, noise: float, seed: int) -> Stat
         u[j] *= 1.0 + noise * (rng.standard_normal(grid.n)
                                + 1j * rng.standard_normal(grid.n))
     return State.from_array(grid, u)
+
+
+def lambda_long_double(gs: GroundState, model: CouplingModel,
+                       masses: MassTriple) -> float:
+    """lambda = H(u) + sum_j w_j (Q_j(u) - m_j) of `gs` at `masses`, every
+    step in extended precision (|u|^p included), rounded once: what
+    `GroundState.lam` reads at p = 2, and to an ulp or so at p != 2, where
+    the solvers form |u|^p in double."""
+    targets = masses.as_array()
+    live = np.flatnonzero(targets > 0)
+    u = gs.profile.stack()[live].astype(np.clongdouble)
+    grid, p = gs.grid, model.p
+    kin, inter = _energy_terms(u, grid, model.a[np.ix_(live, live)], p)
+    dq = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) - targets[live]
+    w = gs.multipliers.as_array()[live]
+    return float(np.sum(kin) - np.sum(inter) / p + np.sum(w * dq))
 
 
 def two_component_min(alpha1: float, alpha2: float, beta: float,

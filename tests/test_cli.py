@@ -203,6 +203,17 @@ class TestConfigValidation:
                                               r">= 0, got -1$"):
             load_config(write_config(tmp_path, text))
 
+    def test_seed_flag_needs_stability_section(self, tmp_path, capsys):
+        # an override with no seeds list to replace is an error, not ignored
+        with pytest.raises(ConfigError, match=r"^\[stability\] section required "
+                                              r"for --seed$"):
+            load_config(write_config(tmp_path), seed_override=5)
+        argv = ["stability", "--config", write_config(tmp_path), "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [stability] section required for --seed\n")
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_replaces_seed_list(self, tmp_path):
         cfg = load_config(write_config(tmp_path, STAB_CFG), seed_override=5)
         assert cfg.stability["seeds"] == (5,)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import trinls as t
-from trinls.ground_state import _project
+from trinls.ground_state import _SHIFT_FALLBACK, _SHIFT_FLOOR, _project, _shift
 from trinls.model import _el_residual_array, _multiplier_array
 from trinls.tolerances import DEFAULT as TOLS
 
@@ -281,6 +281,71 @@ class TestMinimumValue:
 
         polished = t.refine_fixed_point(gs.profile, model_ones, m)
         assert abs(polished.lam - gs.lam) <= ULP
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_double_moduli_within_one_ulp(self, n):
+        # at p != 2 the solvers form |u|^p in double: lambda stays within an
+        # ulp of the all-long-double value on the same profile
+        rng, iu = np.random.default_rng(2027), np.triu_indices(3)
+        for _ in range(6):
+            a = np.empty((3, 3))
+            a[iu] = rng.uniform(0.8, 1.2, 6)
+            a.T[iu] = a[iu]
+            model = t.CouplingModel(a, float(rng.uniform(2.05, 2.5)))
+            m = t.MassTriple(*rng.uniform(0.5, 2.0, 3))
+            gs = t.minimize(model, m, t.make_grid(n, 40.0))
+            lam = oracles.lambda_long_double(gs, model, m)
+            assert abs(gs.lam - lam) <= np.spacing(abs(lam))
+
+    @pytest.mark.parametrize("masses", [(4.0, 0.0, 0.0), (4 / 3, 4 / 3, 4 / 3),
+                                        (1.0, 0.75, 0.0), (2.0, 1.5, 1.2)])
+    @pytest.mark.parametrize("a", [np.ones((3, 3)), ASYMMETRIC_A], ids=["ones", "asym"])
+    def test_p2_lambda_is_long_double(self, a, masses):
+        # at p = 2 every step stays in extended precision, bit for bit
+        model, m = t.CouplingModel(a, 2.0), t.MassTriple(*masses)
+        gs = t.minimize(model, m, t.make_grid(1024, 40.0))
+        polished = t.refine_fixed_point(gs.profile, model, m)
+        for g in (gs, polished):
+            assert g.lam == oracles.lambda_long_double(g, model, m)
+
+
+class TestScaleCovariance:
+    """The discrete problem keeps the mass-scaling law: with n fixed and
+    L ~ mu^(-(p-1)/(3-p)), lambda(mu m) = mu^((p+1)/(3-p)) lambda(m) and the
+    multipliers scale like (2 pi / L)^2, as the flow's shifts do."""
+
+    def test_shift_at_length_40_is_the_named_constants(self):
+        assert (_SHIFT_FLOOR, _SHIFT_FALLBACK) == (1e-3, 0.5)
+        above = np.nextafter(1e-3, 1.0)
+        w = np.array([-1.0, 0.0, 1e-3, above, 0.7])
+        assert np.array_equal(_shift(w, t.make_grid(256, 40.0)),
+                              [0.5, 0.5, 0.5, above, 0.7])
+        # twice the box: a quarter of both
+        assert np.array_equal(_shift(np.array([2.5e-4, 2.6e-4]), t.make_grid(256, 80.0)),
+                              [0.125, 2.6e-4])
+
+    @pytest.mark.parametrize("p, length", [(2.0, 40.0), (2.5, 640.0)])
+    def test_scaled_family(self, p, length):
+        # mu <= 1/2 at p = 2.5 puts multipliers below 1e-3, the shift floor
+        # at L = 40: a floor that did not scale made those flows crawl
+        model, m = t.CouplingModel(ASYMMETRIC_A, p), np.array([1.0, 1.0, 1.2])
+        lams, iters = [], []
+        for mu in (0.25, 0.5, 1.0, 2.0, 4.0):
+            grid = t.make_grid(1024, length * mu ** (-(p - 1) / (3 - p)))
+            gs = t.minimize(model, t.MassTriple(*(mu * m)), grid)
+            lams.append(gs.lam * mu ** (-(p + 1) / (3 - p)))
+            iters.append(gs.iterations)
+        assert np.max(np.abs(np.array(lams) - lams[2])) <= TOLS.lambda_rel * abs(lams[2])
+        assert max(iters) <= 3 * min(iters)
+
+    @pytest.mark.parametrize("masses, n, length", [
+        ((0.5, 0.5, 0.6), 1024, 5120.0), ((0.4, 0.5, 0.6), 1024, 5120.0),
+        ((0.5, 0.5, 0.6), 8192, 1280.0)])
+    def test_small_frequency_triples(self, masses, n, length):
+        # resolved boxes for multipliers below 1e-3, the shift floor at L = 40
+        gs = t.minimize(t.CouplingModel(ASYMMETRIC_A, 2.5), t.MassTriple(*masses),
+                        t.make_grid(n, length))
+        assert gs.iterations <= 40
 
 
 class TestAndersonMixing:
