@@ -36,12 +36,12 @@ failed write is reported with the worker's own exception (exit 1).
 Every command raises on failure, and `main` alone maps the failure type to
 its exit code and stderr prefix (`_EXITS`): 0 ok, 1 usage or config/input
 error (argparse's usage message, a `ConfigError`, also a failed snapshot
-writer or an output that cannot be written), 2 non-convergence
-(`ConvergenceError`, also a collapsed flow step or a diverging polish), 3
-blow-up (`BlowUpError`: an `evolve` run, or the stability seeds that blew
-up, after every output is written), 4 a failed `validate` check
-(`CheckFailed`, after validate.json).  A command whose section is missing
-(`_NEEDS`) fails before the output directory is made.
+writer, an output that cannot be written or a run too large to allocate), 2
+non-convergence (`ConvergenceError`, also a collapsed flow step or a
+diverging polish), 3 blow-up (`BlowUpError`: an `evolve` run, or the
+stability seeds that blew up, after every output is written), 4 a failed
+`validate` check (`CheckFailed`, after validate.json).  A command whose
+section is missing (`_NEEDS`) fails before the output directory is made.
 """
 
 from __future__ import annotations
@@ -536,6 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _EXITS = {
     ConfigError: (1, "config error"),
     OSError: (1, "config error: cannot write output"),  # readers raise ConfigError
+    MemoryError: (1, "config error"),  # e.g. t / dt records too many to allocate
     ConvergenceError: (2, "solve failed"),
     BlowUpError: (3, "blow-up"),
     CheckFailed: (4, "validation failed"),

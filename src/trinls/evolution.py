@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .model import CouplingModel, State, _coefficients, _energy_array
-from .spectral import Grid, check_args, is_finite, is_integer
+from .spectral import Grid, check_args, fft, ifft, is_finite, is_integer
 
 
 class BlowUpError(RuntimeError):
@@ -103,7 +102,7 @@ def _strang(v: np.ndarray, half: np.ndarray, dt: float, model: CouplingModel,
     theta *= dt
     _phase_factor(theta, peak * abs(dt), rot)
     v *= rot
-    return np.multiply(fft(v, axis=-1), half, out=out), peak
+    return np.multiply(fft(v), half, out=out), peak
 
 
 def check_evolve_args(t: float, dt: float, snapshot_every: int = 0,
@@ -124,10 +123,10 @@ def step(state: State, dt: float, model: CouplingModel) -> State:
     grid = state.grid
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     u = state.stack()
-    v = ifft(half * fft(u, axis=-1), axis=-1)
+    v = ifft(half * fft(u))
     rot = np.empty_like(u)
     uh, _ = _strang(v, half, dt, model, rot, out=rot)
-    return State.from_array(grid, ifft(uh, axis=-1))
+    return State.from_array(grid, ifft(uh))
 
 
 def _record(u, uh, grid: Grid, model: CouplingModel):
@@ -135,7 +134,7 @@ def _record(u, uh, grid: Grid, model: CouplingModel):
     mod = np.abs(u)
     mod2 = mod ** 2
     mod_p = mod2 if model.p == 2.0 else mod ** model.p
-    return (grid.spacing * np.sum(mod2, axis=1),
+    return (grid.spacing * mod2.sum(axis=1),
             _energy_array(u, grid, model.a, model.p, uh, mod_p))
 
 
@@ -177,7 +176,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     nsteps = int(round(T / abs(dt)))
     nrec = -(-nsteps // record_every) + 1  # t = 0, every record_every, the last
     u = state0.stack()
-    uh = fft(u, axis=-1)
+    uh = fft(u)
     steps = np.zeros(nrec, dtype=np.int64)  # times = steps * dt: -0.0 going back
     masses, energies = np.empty((nrec, 3)), np.empty(nrec)
     masses[0], energies[0] = _record(u, uh, grid, model)
@@ -195,7 +194,7 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     half = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2)
     pair = np.empty((6, grid.n), dtype=complex)
     rot = np.empty_like(u)
-    v = ifft(half * uh, axis=-1)
+    v = ifft(half * uh)
     for s in range(1, nsteps + 1):
         uh, peak = _strang(v, half, dt, model, rot, out=pair[3:])
         if not math.isfinite(peak):
@@ -204,9 +203,9 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
         record = s % record_every == 0 or s == nsteps
         snap = snapshot_every > 0 and (s % snapshot_every == 0 or s == nsteps)
         if not (record or snap):
-            v = ifft(pair[:3], axis=-1)
+            v = ifft(pair[:3])
             continue
-        both = ifft(pair, axis=-1)
+        both = ifft(pair)
         v, u = both[:3], both[3:]
         if record:
             steps[rows] = s

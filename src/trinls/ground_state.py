@@ -49,16 +49,16 @@ Also here: the subadditivity margin check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
                     _multiplier_array, _nonlinearity)
-from .spectral import Grid, check_args, is_finite, is_integer
+from .spectral import Grid, check_args, fft, ifft, is_finite, is_integer
 from .spectral import _rearrange_samples  # noqa: F401 (bench/tracing.py wraps it here)
 from .tolerances import DEFAULT as TOLS
 
@@ -149,7 +149,7 @@ _MAX_SWEEPS = 600  # polish sweeps before `refine_fixed_point` gives up
 def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     """Exact projection onto the mass constraints: each row of u, in place,
     rescaled to its entry of `targets` (live rows: every target positive)."""
-    u *= np.sqrt(targets / (h * np.sum(np.abs(u) ** 2, axis=1)))[:, None]
+    u *= np.sqrt(targets / (h * (np.abs(u) ** 2).sum(axis=1)))[:, None]
     return u
 
 
@@ -175,7 +175,7 @@ def _residual_target(grid: Grid, tol: float) -> float:
     """Stopping threshold for the relative Euler-Lagrange residual: `tol`,
     raised to the round-off floor eps * max(k^2) of the residual's k^2 u_hat
     term (about 2.3e-11 at n = 4096, L = 40)."""
-    return max(tol, float(np.finfo(float).eps * np.max(grid.wavenumbers ** 2)))
+    return max(tol, float(np.finfo(float).eps * (grid.wavenumbers ** 2).max()))
 
 
 def _shift(w: np.ndarray, grid: Grid) -> np.ndarray:
@@ -219,12 +219,12 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     res = res_min = np.inf
     best = 0  # accepted iterations up to the lowest residual
     for it in range(cfg.max_iters):
-        uh = fft(u, axis=-1)
+        uh = fft(u)
         mod = np.abs(u)
         mod_p = mod ** p
         kin, inter = _energy_terms(u, grid, a, p, uh, mod_p)
-        E = float(np.sum(kin) - np.sum(inter) / p)
-        if not np.isfinite(E):
+        E = float(kin.sum() - inter.sum() / p)
+        if not math.isfinite(E):
             raise StepCollapseError(
                 f"non-finite energy at iteration {it} (step size collapse)")
         N = _nonlinearity(u, a, p, mod, mod_p)
@@ -245,7 +245,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             break
         e_prev = E
 
-        g = _project(ifft(uh - rh / (k2 + _shift(w, grid)[:, None]), axis=-1), m, h)
+        g = _project(ifft(uh - rh / (k2 + _shift(w, grid)[:, None])), m, h)
 
         x = u.view(float).ravel()  # real views of the iterate and the step
         gx = g.view(float).ravel()
@@ -292,7 +292,7 @@ def _embed(rows: np.ndarray, live: np.ndarray, fill: float) -> np.ndarray:
 def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
     """The `GroundState` of the live rows u, with multipliers w, at masses m."""
     h = grid.spacing
-    achieved = h * np.sum(np.abs(u) ** 2, axis=1)
+    achieved = h * (np.abs(u) ** 2).sum(axis=1)
     if achieved.min() < np.finfo(float).tiny:  # lost to the grid's quadrature
         j = np.argmin(achieved)
         raise ConvergenceError(f"mass {'rst'[live[j]]} = {float(m[j])!r} underflows: "
@@ -302,8 +302,8 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
     ul = u.astype(np.clongdouble)
     mod_p = None if p == 2 else (np.abs(u) ** p).astype(np.longdouble)
     kin, inter = _energy_terms(ul, grid, a, p, mod_p=mod_p)
-    dq = h * np.sum(np.abs(ul) ** 2, axis=1) - m
-    lam = float(np.sum(kin) - np.sum(inter) / p + np.sum(w * dq))
+    dq = h * (np.abs(ul) ** 2).sum(axis=1) - m
+    lam = float(kin.sum() - inter.sum() / p + (w * dq).sum())
     return GroundState(
         profile=State.from_array(grid, _embed(u, live, 0.0)),
         multipliers=Multipliers(*map(float, _embed(w, live, np.nan))),
@@ -339,7 +339,7 @@ def refine_fixed_point(state: State, model: CouplingModel,
             raise DivergenceError(f"multiplier {_embed(w, live, np.nan)} "
                                   "not positive during refinement")
         N = _nonlinearity(u, a, p)
-        u = _project(ifft(fft(N, axis=-1) / (k2 + w[:, None]), axis=-1), m, h)
+        u = _project(ifft(fft(N) / (k2 + w[:, None])), m, h)
         w = _multiplier_array(u, grid, a, p)
         res = _el_residual_array(u, w, grid, a, p)[0]
         if res < target:

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
 
-from .spectral import Field, Grid, check_args, is_finite, require_same_grid
+from .spectral import Field, Grid, check_args, fft, ifft, is_finite, require_same_grid
 
 
 def _exponent_rule(p) -> tuple:
@@ -113,7 +112,7 @@ class State:
 
     def masses(self) -> np.ndarray:
         h = self.grid.spacing
-        return h * np.sum(np.abs(self.stack()) ** 2, axis=1)
+        return h * (np.abs(self.stack()) ** 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +145,24 @@ def _energy_terms(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
 
     Returns (kin, inter) with kin_j = int |u_j'|^2 and
     inter_j = int |u_j|^p sum_k a_jk |u_k|^p, so that
-    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u, axis=-1)
+    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u)
     and `mod_p` the moduli np.abs(u) ** p.
     """
     h = grid.spacing
     k2 = grid.wavenumbers ** 2
     if uh is None:
-        uh = fft(u, axis=-1)
-    kin = h / grid.n * np.sum(k2 * np.abs(uh) ** 2, axis=1)
+        uh = fft(u)
+    kin = h / grid.n * (k2 * np.abs(uh) ** 2).sum(axis=1)
     if mod_p is None:
         mod_p = np.abs(u) ** p
-    inter = h * np.sum(mod_p * (a @ mod_p), axis=1)
+    inter = h * (mod_p * (a @ mod_p)).sum(axis=1)
     return kin, inter
 
 
 def _energy_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
                   uh: np.ndarray = None, mod_p: np.ndarray = None) -> float:
     kin, inter = _energy_terms(u, grid, a, p, uh, mod_p)
-    return float(np.sum(kin) - np.sum(inter) / p)
+    return float(kin.sum() - inter.sum() / p)
 
 
 def _multiplier_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
@@ -171,7 +170,7 @@ def _multiplier_array(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
     """w_j = -(kin_j - inter_j) / m_j; `m` and `terms` default to the masses
     of u and `_energy_terms(u, grid, a, p)`."""
     kin, inter = _energy_terms(u, grid, a, p) if terms is None else terms
-    m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
+    m = grid.spacing * (np.abs(u) ** 2).sum(axis=1) if m is None else m
     return -(kin - inter) / m
 
 
@@ -181,12 +180,12 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
     """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh), by Parseval from rh_j =
     (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j + w_j u_j; `m`, `uh`,
     `N` default to the masses of u, fft(u) and N(u)."""
-    m = grid.spacing * np.sum(np.abs(u) ** 2, axis=1) if m is None else m
-    uh = fft(u, axis=-1) if uh is None else uh
+    m = grid.spacing * (np.abs(u) ** 2).sum(axis=1) if m is None else m
+    uh = fft(u) if uh is None else uh
     N = _nonlinearity(u, a, p) if N is None else N
-    rh = (grid.wavenumbers ** 2 + w[:, None]) * uh - fft(N, axis=-1)
-    sq = grid.spacing / grid.n * np.sum(np.abs(rh) ** 2, axis=1) / m
-    return float(np.sqrt(np.max(sq))), rh
+    rh = (grid.wavenumbers ** 2 + w[:, None]) * uh - fft(N)
+    sq = grid.spacing / grid.n * (np.abs(rh) ** 2).sum(axis=1) / m
+    return float(np.sqrt(sq.max())), rh
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def gradient_fd_error(grid: Grid, model: CouplingModel, rng) -> float:
     eps, worst = 1e-5, 0.0
     for _ in range(20):
         u, d = random_smooth_state(grid, rng), random_smooth_state(grid, rng)
-        G = ifft(_el_residual_array(u, np.zeros(3), grid, model.a, model.p)[1], axis=-1)
+        G = ifft(_el_residual_array(u, np.zeros(3), grid, model.a, model.p)[1])
         pairing = 2 * (grid.spacing * np.sum(G * np.conj(d))).real
         fd = (_energy_array(u + eps * d, grid, model.a, model.p)
               - _energy_array(u - eps * d, grid, model.a, model.p)) / (2 * eps)

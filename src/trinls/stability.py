@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .evolution import BlowUpError, EvolutionTrace, evolve
 from .ground_state import GroundState, _project
 from .model import CouplingModel, State
-from .spectral import check_args, is_finite, is_integer, require_same_grid
+from .spectral import check_args, fft, ifft, is_finite, is_integer, require_same_grid
 from .tolerances import DEFAULT as TOLS
 
 PERTURBATION_KINDS = ("random_h1", "mass_preserving_random", "component_tilt")
@@ -93,11 +92,11 @@ def orbital_distance(state: State, ground: GroundState) -> float:
     grid = require_same_grid(state.grid, ground.grid)
     w = _h1_weights(grid)
     h = grid.spacing
-    S = fft(state.stack(), axis=-1)
-    P = fft(ground.profile.stack(), axis=-1)
+    S = fft(state.stack())
+    P = fft(ground.profile.stack())
     cross = w * S * np.conj(P)
     # corr[j, m] = <S_j, Phi_j(. - m h)>_{H^1}
-    corr = h * ifft(cross, axis=-1)
+    corr = h * ifft(cross)
     scan = np.sum(np.abs(corr), axis=0)
     m0 = int(np.argmax(scan))
 
@@ -143,7 +142,7 @@ def _smooth_noise(grid, rng) -> np.ndarray:
 
 def _y_norm(u: np.ndarray, grid) -> float:
     w = _h1_weights(grid)
-    uh = fft(u, axis=-1)
+    uh = fft(u)
     return float(np.sqrt(grid.spacing / grid.n * np.sum(w * np.abs(uh) ** 2)))
 
 

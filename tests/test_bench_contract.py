@@ -7,10 +7,11 @@ The benchmark also counts work by calls through those names: a flow
 iteration or a polish sweep is one `ground_state._nonlinearity` call and a
 time step one `evolution._coefficients` call.  The other tests pin those
 counts, so that, e.g., a record that called `_coefficients` through
-`evolution` would fail here rather than double the benchmark's step count.
-The last test runs one short traced benchmark end to end: a traced run
-wraps every boundary and drives all four CLI commands in-process, which a
-timed run does not.
+`evolution` would fail here rather than double the benchmark's step count,
+and the two transform calls per step that `evolution`'s docstring states.
+The last test runs a short traced benchmark of each workload end to end: a
+traced run wraps every boundary and drives all four CLI commands
+in-process, which a timed run does not.
 """
 
 import importlib
@@ -25,6 +26,7 @@ import pytest
 import trinls as t
 import trinls.evolution as evolution
 import trinls.ground_state as ground_state
+import trinls.model as model
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -61,6 +63,19 @@ def test_one_coefficients_call_per_step(monkeypatch, gs_equal, model_ones,
     assert len(calls) == 50
 
 
+@pytest.mark.parametrize("record_every, snapshot_every", [(1, 0), (7, 3)])
+def test_two_transform_calls_per_step(monkeypatch, gs_equal, model_ones,
+                                      record_every, snapshot_every):
+    # the start's pair, then one forward and one inverse call per step; the
+    # record passes its spectrum to the model, which transforms nothing
+    calls = [count_calls(monkeypatch, module, name)
+             for module in (evolution, model) for name in ("fft", "ifft")]
+    t.evolve(gs_equal.profile, 0.05, 1e-3, model_ones,
+             snapshot_every=snapshot_every, record_every=record_every,
+             sample=lambda time, state: None)
+    assert [len(c) for c in calls] == [51, 51, 0, 0]
+
+
 def test_one_nonlinearity_call_per_sweep_and_iteration(monkeypatch, grid40,
                                                        model_ones):
     calls = count_calls(monkeypatch, ground_state, "_nonlinearity")
@@ -75,10 +90,11 @@ def test_one_nonlinearity_call_per_sweep_and_iteration(monkeypatch, grid40,
         assert len(calls) == polished.iterations > 1
 
 
-def test_traced_benchmark_run_is_correct():
-    # about 7 s on a 2-vCPU machine; the run removes its own work folder
+@pytest.mark.parametrize("workload", ["ensemble", "solve_sweep", "cli_wide"])
+def test_traced_benchmark_run_is_correct(workload):
+    # 5-8 s each on a 2-vCPU machine; the run removes its own work folder
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "solve_sweep", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -383,6 +383,25 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: grid: ")
 
+    @pytest.mark.parametrize("command", ["evolve", "stability"])
+    def test_run_too_long_to_record(self, tmp_path, capsys, command):
+        # t / dt = 1e15 steps, each one recorded: numpy refuses the 8 PB
+        # record arrays at once, and the run ends in one stderr line
+        if command == "evolve":
+            (tmp_path / "p.csv").write_text(profile_text())
+            text = BASE + EVOLVE_EXTRA.replace("t = 0.1", "t = 1e12")
+            extra = ["--profile", str(tmp_path / "p.csv")]
+        else:
+            text = STAB_CFG.replace("t = 1.0", "t = 1e12").replace(
+                "sample_every = 250", "sample_every = 1")
+            extra = []
+        argv = [command, "--config", write_config(tmp_path, text), *extra,
+                "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "allocate" in err
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     @pytest.mark.parametrize("route", ["--out", "output.dir", "validate"])
     def test_output_path_through_file(self, tmp_path, capsys, route, below):

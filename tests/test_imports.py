@@ -75,6 +75,23 @@ def test_one_home_for_argument_rules():
     assert len(messages) == 1 and messages[0].startswith("spectral.py:"), messages
 
 
+def test_one_home_for_transforms():
+    """Only spectral imports from scipy.fft; every other module calls its
+    `fft`/`ifft`, which tests/test_spectral.py holds to scipy.fft's bits."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(f"{name}.".startswith("scipy.fft.") for name in names):
+                importers.add(path.name)
+    assert importers == {"spectral.py"}
+
+
 BENCH = SRC.parents[1] / "bench"
 
 

@@ -6,8 +6,10 @@ Expected values are analytic integrals of the sech family:
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import trinls as t
+from trinls import spectral
 from trinls.tolerances import DEFAULT as TOLS
 
 import oracles
@@ -49,6 +51,44 @@ class TestGrid:
         assert k[0] == 0.0
         assert k[1] == pytest.approx(2 * np.pi / 40.0)
         assert k[grid40.n // 2 + 1] == -k[grid40.n // 2 - 1]
+
+
+class TestTransformPair:
+    """`spectral.fft`/`ifft` call pocketfft's kernel without scipy.fft's
+    dispatch; they must give scipy.fft's dtype and bits, so a SciPy that
+    moves or changes the kernel fails here."""
+
+    SHAPES = ("1-D", "(1, n)", "(3, n)", "(6, n)", "x[::2]")
+
+    @staticmethod
+    def sample(shape, dtype, n):
+        """Random complex samples of `dtype`: rows of a (6, n) array, every
+        second one for x[::2] (a strided view)."""
+        rng = np.random.default_rng(n)
+        x = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))).astype(dtype)
+        return {"1-D": x[0], "(1, n)": x[:1], "(3, n)": x[:3], "(6, n)": x,
+                "x[::2]": x[::2]}[shape]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        real = np.finfo(want.dtype).dtype
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(real), want.view(real))
+        assert np.array_equal(np.signbit(got.view(real)), np.signbit(want.view(real)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_bits_of_scipy_fft(self, dtype, n, shape):
+        x = self.sample(shape, dtype, n)
+        self.assert_same_bits(spectral.fft(x), scipy.fft.fft(x, axis=-1))
+        self.assert_same_bits(spectral.ifft(x), scipy.fft.ifft(x, axis=-1))
+
+    def test_real_input(self):
+        x = np.random.default_rng(0).standard_normal((3, 256))
+        assert spectral.fft(x).dtype == spectral.ifft(x).dtype == np.complex128
+        self.assert_same_bits(spectral.fft(x), scipy.fft.fft(x, axis=-1))
+        self.assert_same_bits(spectral.ifft(x), scipy.fft.ifft(x, axis=-1))
 
 
 class TestDerivative:
