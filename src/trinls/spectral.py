@@ -13,7 +13,7 @@ Conventions:
 Every transform in trinls is `fft`/`ifft` below, over the last axis: the
 call `scipy.fft.fft`/`ifft` make to pocketfft's kernel after their backend
 dispatch, so the bits are the same, and `scipy.fft.set_backend`/`set_workers`
-do not reach trinls.  The dispatch costs 4-5 us a call (9.3 against 4.9 us
+do not reach trinls.  The dispatch costs about 4 us a call (9.3 against 4.9 us
 for a (3, 256) complex array, on a 2-vCPU x86-64 machine with SciPy 1.17).
 
 `_rearrange_samples`, the symmetric decreasing rearrangement as a
