@@ -25,7 +25,12 @@ Only `#` starts an inline comment: `;` separates subadd splits.
 Scalars go to JSON, field data to CSV: an optional `# ` line ending in LF,
 then header and rows ending in CRLF, each float its shortest round-trip repr
 (a profile read back may also use LF, quoted or space-padded cells, blank
-lines).  Every output but metadata.json is byte-identical per config and seed.
+lines).  All-float blocks (profile.csv, the snapshots, trace.csv) are
+formatted in bulk by `text.csv_rows`, whose digits are certified equal to
+repr's, and a cell it cannot certify is formatted by repr itself; the
+snapshot index and margins.csv, which hold text or bool columns, are
+formatted cell by cell.  Every output but metadata.json is byte-identical
+per config and seed.
 
 With snapshots on, `evolve` writes them in a one-worker process pool
 (start method "fork"; the worker formats text and writes files, no FFT or
@@ -63,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .evolution import BlowUpError, check_evolve_args, evolve
+from .evolution import BlowUpError, check_evolve_args, evolve, record_rows
 from .ground_state import (ConvergenceError, GroundState, SolverConfig,
                            _initial_array, minimize, refine_fixed_point,
                            subadditivity_check)
@@ -72,6 +77,7 @@ from .model import (SINGLE_COMPONENT_BOXES, CouplingModel, MassTriple,
                     sech_profile, single_component_minimum)
 from .spectral import Field, Grid, make_grid
 from .stability import check_stability_args, stability_experiment
+from .text import csv_rows
 from .tolerances import DEFAULT as TOLS
 
 
@@ -265,14 +271,20 @@ _BLOCK = 512  # rows formatted per write: bounds the text held in memory
 
 def _write_csv(path: Path, header, columns, comment=None) -> None:
     """`header` and the rows of `columns` (equal-length 1-D sequences) as CSV
-    after an optional `# comment` line; cells are `str` (a float's repr)."""
-    with open(path, "w", newline="") as fh:
+    after an optional `# comment` line; cells are `str` (a float's repr).
+    All-float64 columns are formatted in bulk by `text.csv_rows`."""
+    columns = [np.asarray(c) for c in columns]
+    bulk = all(c.dtype == np.float64 for c in columns)
+    with open(path, "wb") as fh:
         if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\r\n")
+            fh.write(f"# {comment}\n".encode())
+        fh.write((",".join(header) + "\r\n").encode())
         for a in range(0, len(columns[0]), _BLOCK):
-            cells = [map(str, np.asarray(c)[a:a + _BLOCK].tolist()) for c in columns]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+            if bulk:
+                fh.write(csv_rows(np.stack([c[a:a + _BLOCK] for c in columns], 1)))
+                continue
+            cells = [map(str, c[a:a + _BLOCK].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]).encode())
 
 
 def write_profile_csv(path: Path, state: State) -> None:
@@ -405,9 +417,11 @@ def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
 
 
 def cmd_stability(cfg: RunConfig, out: Path, args) -> None:
-    gs = _solve_ground_state(cfg, args.quiet)
     st = cfg.stability
     ev = cfg.evolution
+    # records too many to allocate fail here (MemoryError), not after the solve
+    record_rows(ev["t"], ev["dt"], st["sample_every"])
+    gs = _solve_ground_state(cfg, args.quiet)
     summary = {"verdicts": {}, "sup_distances": {}, "delta": st["delta"]}
     for seed in st["seeds"]:
         rep = stability_experiment(

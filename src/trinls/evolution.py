@@ -138,6 +138,15 @@ def _record(u, uh, grid: Grid, model: CouplingModel):
             _energy_array(u, grid, model.a, model.p, uh, mod_p))
 
 
+def record_rows(T: float, dt: float, record_every: int):
+    """(nsteps, steps, masses, energies) of a run of round(T / |dt|) steps:
+    the record arrays `evolve` fills at t = 0, every `record_every` steps
+    and at the last step.  MemoryError when they cannot be allocated."""
+    nsteps = int(round(T / abs(dt)))
+    nrec = -(-nsteps // record_every) + 1
+    return nsteps, np.zeros(nrec, dtype=np.int64), np.empty((nrec, 3)), np.empty(nrec)
+
+
 def _trace(times, masses, energies) -> EvolutionTrace:
     """Drifts of the recorded masses and energies relative to the first
     record; the first row reads 0 even when the start is not finite."""
@@ -173,12 +182,10 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     check_args(("snapshot_every", snapshot_every,
                 lambda n: n == 0 or sample is not None, "0 without a sample hook"))
     grid = state0.grid
-    nsteps = int(round(T / abs(dt)))
-    nrec = -(-nsteps // record_every) + 1  # t = 0, every record_every, the last
+    # times = steps * dt: -0.0 going back
+    nsteps, steps, masses, energies = record_rows(T, dt, record_every)
     u = state0.stack()
     uh = fft(u)
-    steps = np.zeros(nrec, dtype=np.int64)  # times = steps * dt: -0.0 going back
-    masses, energies = np.empty((nrec, 3)), np.empty(nrec)
     masses[0], energies[0] = _record(u, uh, grid, model)
     rows = 1
     if snapshot_every > 0:

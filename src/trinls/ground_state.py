@@ -16,7 +16,8 @@ the mass-scaling law, so a scaled problem on its scaled box takes about as
 many iterations.  With s_j = w_j the step is the Green-kernel sweep below.
 g is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the
 last `_DEPTH` iterate and step differences; a mixed iterate that raises the
-energy beyond the monotonicity slack, or the residual above
+energy beyond the monotonicity slack (1e-11, or 64 eps |H| where that is
+larger: H's own round-off), or the residual above
 `_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain step
 and the history is cleared.
 About 15 iterations reach the round-off floor; `_STALL` accepted iterations
@@ -231,7 +232,8 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         w_it = _multiplier_array(u, grid, a, p, m, (kin, inter))
         # rh: Fourier transform of the residual G_j + w_j u_j
         res_it, rh = _el_residual_array(u, w_it, grid, a, p, m, uh, N)
-        if plain is not None and not (E <= e_prev + TOLS.energy_monotone_slack and
+        slack = max(TOLS.energy_monotone_slack, TOLS.energy_monotone_rel * abs(e_prev))
+        if plain is not None and not (E <= e_prev + slack and
                                       res_it <= _RESIDUAL_GROWTH * res_min):
             # raised energy or residual (at round-off the weights fit noise)
             u, plain, count = plain, None, -1

@@ -26,7 +26,8 @@ class Tolerances:
 
     # solver contracts
     projection_rel: float = 1e-12        # achieved mass vs requested, relative
-    energy_monotone_slack: float = 1e-11  # energy rise allowed per flow iteration
+    energy_monotone_slack: float = 1e-11  # energy rise allowed per flow iteration,
+    energy_monotone_rel: float = 64 * 2.0 ** -52  # or this times |H| if larger
     lambda_rel: float = 1e-5             # minimum-energy value vs closed form
     omega_abs: float = 1e-6              # multiplier vs closed form
     profile_max_err: float = 1e-5        # aligned profile vs closed form, max norm

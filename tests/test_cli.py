@@ -384,9 +384,13 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error: grid: ")
 
     @pytest.mark.parametrize("command", ["evolve", "stability"])
-    def test_run_too_long_to_record(self, tmp_path, capsys, command):
+    def test_run_too_long_to_record(self, tmp_path, capsys, monkeypatch, command):
         # t / dt = 1e15 steps, each one recorded: numpy refuses the 8 PB
-        # record arrays at once, and the run ends in one stderr line
+        # record arrays at once, and the run ends in one stderr line before
+        # any solve
+        import trinls.cli as cli
+        solves = []
+        monkeypatch.setattr(cli, "minimize", lambda *a, **k: solves.append(a))
         if command == "evolve":
             (tmp_path / "p.csv").write_text(profile_text())
             text = BASE + EVOLVE_EXTRA.replace("t = 0.1", "t = 1e12")
@@ -401,6 +405,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "allocate" in err
+        assert solves == []
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     @pytest.mark.parametrize("route", ["--out", "output.dir", "validate"])
@@ -1306,6 +1311,44 @@ class TestWriters:
                         "lambda_part1", "lambda_part2", "margin", "tolerance",
                         "inconclusive"],
                        [[repr(float(v)) for v in row[:-1]] + row[-1:]])
+
+    def test_trace_of_blocks_near_round_off(self, tmp_path):
+        # drifts of a few ulps: exact multiples of 2^-53 and values near 1e-17
+        from trinls.cli import write_trace_csv
+        rng = np.random.default_rng(29)
+        rows = 3 * _BLOCK + 17
+        drifts = rng.random((rows, 4)) * 10.0 ** rng.integers(-18, -15, (rows, 4))
+        drifts[::5] = rng.integers(0, 40, (len(drifts[::5]), 4)) * 2.0 ** -53
+        drifts[0] = 0.0
+        times = np.arange(rows) * 1e-3
+        write_trace_csv(tmp_path / "trace.csv", t.EvolutionTrace(
+            times=times, energy_drift=drifts[:, 0], mass_drifts=drifts[:, 1:]))
+        cells = [list(map(repr, row)) for row in np.column_stack([times, drifts]).tolist()]
+        self.check_csv(tmp_path / "trace.csv",
+                       "dimensionless units; drifts are relative to t = 0",
+                       ["t", "energy_drift", "mass_drift_1", "mass_drift_2",
+                        "mass_drift_3"], cells)
+
+    def test_snapshot_index_bytes(self, tmp_path):
+        # the index's float column beside a text column, across blocks
+        from trinls.cli import _snap_name, _write_csv
+        times = [s * -1e-3 for s in range(0, 50 * (_BLOCK + 3), 50)]
+        names = [_snap_name(i) for i in range(len(times))]
+        _write_csv(tmp_path / "snapshots.csv", ["t", "file"], [times, names])
+        self.check_csv(tmp_path / "snapshots.csv", None, ["t", "file"],
+                       [[repr(s), name] for s, name in zip(times, names)])
+
+    def test_margins_bytes(self, tmp_path):
+        # float columns beside the bool `inconclusive`, as cmd_subadd writes them
+        from trinls.cli import _write_csv
+        rng = np.random.default_rng(31)
+        floats = self.wild(rng, (40, 11)).tolist()
+        rows = [(*row, bool(i % 3)) for i, row in enumerate(floats)]
+        header = ["r1", "s1", "t1", "r2", "s2", "t2", "lambda_total", "lambda_part1",
+                  "lambda_part2", "margin", "tolerance", "inconclusive"]
+        _write_csv(tmp_path / "margins.csv", header, list(zip(*rows)), "margins")
+        self.check_csv(tmp_path / "margins.csv", "margins", header,
+                       [[*map(repr, row[:-1]), str(row[-1])] for row in rows])
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(arrays(np.float64, (2, 3, 16), elements=st.floats(

@@ -338,6 +338,14 @@ class TestScaleCovariance:
         assert np.max(np.abs(np.array(lams) - lams[2])) <= TOLS.lambda_rel * abs(lams[2])
         assert max(iters) <= 3 * min(iters)
 
+    def test_energy_slack_scales_with_the_energy(self):
+        # mu = 8 of the p = 2.5 family, |H| ~ 5e4: near convergence an
+        # absolute slack of 1e-11, below H's round-off there, rejected mixed
+        # iterates whose energy rose by 1e-15 |H| (62 iterations)
+        model = t.CouplingModel(ASYMMETRIC_A, 2.5)
+        gs = t.minimize(model, t.MassTriple(8.0, 8.0, 9.6), t.make_grid(1024, 1.25))
+        assert gs.iterations <= 60
+
     @pytest.mark.parametrize("masses, n, length", [
         ((0.5, 0.5, 0.6), 1024, 5120.0), ((0.4, 0.5, 0.6), 1024, 5120.0),
         ((0.5, 0.5, 0.6), 8192, 1280.0)])
