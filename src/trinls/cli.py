@@ -2,8 +2,8 @@
 
 Subcommands
     solve      minimize the constrained energy; write groundstate.json + profile.csv
-    evolve     integrate an input profile; write trace.csv (+ snapshots/, written
-               by a one-worker process pool while the time loop runs)
+    evolve     integrate an input profile; write trace.csv (+ snapshots/, each
+               written when the time loop samples it)
     stability  perturbation ensemble around the solved minimizer; report.json per seed
     subadd     subadditivity margins for configured mass splits; margins.csv
     validate   built-in closed-form oracle checks; exit 0 iff all pass
@@ -32,16 +32,10 @@ snapshot index and margins.csv, which hold text or bool columns, are
 formatted cell by cell.  Every output but metadata.json is byte-identical
 per config and seed.
 
-With snapshots on, `evolve` writes them in a one-worker process pool
-(start method "fork"; the worker formats text and writes files, no FFT or
-BLAS).  The sample hook waits for the previous write before it submits the
-next, so one snapshot is in flight.  The pool is shut down on every exit; a
-failed write is reported with the worker's own exception (exit 1).
-
 Every command raises on failure, and `main` alone maps the failure type to
 its exit code and stderr prefix (`_EXITS`): 0 ok, 1 usage or config/input
-error (argparse's usage message, a `ConfigError`, also a failed snapshot
-writer, an output that cannot be written or a run too large to allocate), 2
+error (argparse's usage message, a `ConfigError`, an output that cannot be
+written, a snapshot included, or a run too large to allocate), 2
 non-convergence (`ConvergenceError`, also a collapsed flow step or a
 diverging polish), 3 blow-up (`BlowUpError`: an `evolve` run, or the
 stability seeds that blew up, after every output is written), 4 a failed
@@ -55,11 +49,7 @@ import argparse
 import configparser
 import json
 import math
-import multiprocessing
-import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -357,58 +347,26 @@ def _snap_name(i: int) -> str:
     return f"snap_{i:06d}.csv"
 
 
-@contextmanager
-def _snapshot_writer(folder: Path):
-    """Yield (sample, times): `sample` is an `evolve` hook that has a
-    one-worker process pool (forked) write each state as
-    folder/snap_XXXXXX.csv, `times` its sample times; the folder and the
-    pool are made at the first sample.  The hook first waits for the
-    previous write, so at most one state is in flight.  The worker ignores
-    SIGINT, so a Ctrl-C reaches the caller as this process's
-    KeyboardInterrupt.  The pool is shut down on every exit; a failed write
-    raises ConfigError with the worker's own exception."""
-    pool, times, last = None, [], None
-
-    def settle():
-        error = last and last.exception()
-        if error:
-            raise ConfigError(
-                f"snapshot writer failed: {type(error).__name__}: {error}")
-
-    def sample(t, state):
-        nonlocal pool, last
-        settle()
-        if pool is None:
-            folder.mkdir(exist_ok=True)
-            pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
-                                       initializer=signal.signal,
-                                       initargs=(signal.SIGINT, signal.SIG_IGN))
-        last = pool.submit(write_profile_csv, folder / _snap_name(len(times)), state)
-        times.append(t)
-
-    try:
-        yield sample, times
-        settle()
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
 def cmd_evolve(cfg: RunConfig, out: Path, args) -> None:
     state0 = read_profile_csv(Path(args.profile), cfg.grid)
     ev = cfg.evolution
-    blown = None
-    # the writer formats the snapshots while this process steps
-    with _snapshot_writer(out / "snapshots") as (sample, times):
-        try:
-            trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
-                           snapshot_every=ev["snapshot_every"], sample=sample)
-        except BlowUpError as err:  # raised once the partial outputs are written
-            trace, blown = err.trace, err
-        write_trace_csv(out / "trace.csv", trace)
-        if times:
-            _write_csv(out / "snapshots.csv", ["t", "file"],
-                       [times, [_snap_name(i) for i in range(len(times))]])
+    folder, times, blown = out / "snapshots", [], None
+
+    def sample(t, state):
+        if not times:
+            folder.mkdir(exist_ok=True)
+        write_profile_csv(folder / _snap_name(len(times)), state)
+        times.append(t)
+
+    try:
+        trace = evolve(state0, ev["t"], ev["dt"], cfg.model,
+                       snapshot_every=ev["snapshot_every"], sample=sample)
+    except BlowUpError as err:  # raised once the partial outputs are written
+        trace, blown = err.trace, err
+    write_trace_csv(out / "trace.csv", trace)
+    if times:
+        _write_csv(out / "snapshots.csv", ["t", "file"],
+                   [times, [_snap_name(i) for i in range(len(times))]])
     if blown:
         raise blown
     if not args.quiet:

@@ -836,8 +836,8 @@ snapshot_every = 5
 
 
 def in_process_evolve(cfg_path, profile, out):
-    """The files `trinls evolve` writes, with each snapshot written by an
-    in-process `sample` hook: the reference for the forked writer."""
+    """The files `trinls evolve` writes, with each snapshot written by a
+    `sample` hook of the test's own: the reference for the command."""
     from trinls.cli import _write_csv, write_trace_csv
     cfg = load_config(cfg_path)
     ev = cfg.evolution
@@ -860,7 +860,8 @@ def in_process_evolve(cfg_path, profile, out):
 
 
 class TestSnapshotWriter:
-    """`trinls evolve` writes its snapshots in a forked writer process."""
+    """`trinls evolve` writes each snapshot, in the command's process, as
+    the time loop samples it."""
 
     @pytest.fixture()
     def run(self, tmp_path):
@@ -913,19 +914,20 @@ class TestSnapshotWriter:
 
     @pytest.mark.parametrize("bad", [2, 20], ids=["mid-run", "last"])
     def test_writer_failure_is_reported(self, tmp_path, run, capsys, bad):
-        # snapshot `bad` cannot be written: a directory holds its name
+        # snapshot `bad` cannot be written: a directory holds its name, and
+        # the run ends at that sample
         run, _, _ = run
         out = tmp_path / "fork"
         (out / "snapshots" / f"snap_{bad:06d}.csv").mkdir(parents=True)
         assert run(out) == 1
         err = capsys.readouterr().err
-        assert "snapshot writer failed: IsADirectoryError" in err
-        assert f"snap_{bad:06d}.csv" in err and "BrokenPipe" not in err
+        assert err.startswith("config error: cannot write output: ")
+        assert f"snap_{bad:06d}.csv" in err
+        assert not (out / "trace.csv").exists()
 
     def test_interrupt_is_not_a_writer_failure(self, tmp_path, run):
-        # Ctrl-C reaches the whole process group: the pool's worker ignores
-        # SIGINT and ends at pool.shutdown(), so the parent's
-        # KeyboardInterrupt is what the command reports
+        # Ctrl-C reaches the whole process group, and the command reports
+        # its KeyboardInterrupt; no process of its group is left behind
         _, _, profile = run
         cfg = write_config(tmp_path, WRITER_CFG.replace("t = 0.1", "t = 1000.0")
                            .replace("snapshot_every = 5", "snapshot_every = 200"),
@@ -949,48 +951,19 @@ class TestSnapshotWriter:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         assert "KeyboardInterrupt" in err and "snapshot writer failed" not in err
-        with pytest.raises(ProcessLookupError):  # the writer is gone too
+        with pytest.raises(ProcessLookupError):  # the whole group is gone
             os.killpg(proc.pid, 0)
 
-    def test_writer_that_dies_is_reported(self, tmp_path, run):
-        # the worker ends with os._exit before it writes a file, so it
-        # raises nothing the parent could be sent
-        _, cfg, profile = run
-        script = (
-            "import os, sys\n"
-            "from trinls import cli\n"
-            "parent, write = os.getpid(), cli._write_csv\n"
-            "def dying(*args, **kwargs):\n"
-            "    if os.getpid() != parent:\n"
-            "        os._exit(7)\n"
-            "    write(*args, **kwargs)\n"
-            "cli._write_csv = dying\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, "evolve", "--config", cfg,
-             "--profile", str(profile), "--out", str(tmp_path / "o"), "--quiet"],
-            env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True)
-        try:
-            _, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-        assert proc.returncode == 1
-        assert "config error: snapshot writer failed" in err
-        assert "Traceback" not in err
-        with pytest.raises(ProcessLookupError):  # the worker is gone too
-            os.killpg(proc.pid, 0)
+    def test_writes_without_forking(self, tmp_path, run, monkeypatch):
+        def no_fork():
+            raise AssertionError("evolve forked")
 
-    def test_no_writer_without_snapshots(self, tmp_path, run, monkeypatch):
-        from trinls import cli
+        monkeypatch.setattr(os, "fork", no_fork)
+        run, _, _ = run
+        assert run(tmp_path / "o") == 0
+        assert len(scientific_files(tmp_path / "o")) == 2 + 21
 
-        def no_fork(method):
-            raise AssertionError("forked without snapshots")
-
-        monkeypatch.setattr(cli.multiprocessing, "get_context", no_fork)
+    def test_no_writer_without_snapshots(self, tmp_path, run):
         run, cfg, profile = run
         path = tmp_path / "quiet.ini"
         path.write_text(WRITER_CFG.replace("snapshot_every = 5", "snapshot_every = 0"))
