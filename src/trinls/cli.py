@@ -47,8 +47,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
@@ -256,6 +258,9 @@ def write_metadata(out: Path, argv) -> None:
 
 
 PROFILE_HEADER = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
+# the head of a profile as written: `#` lines, the header, then a data row
+_PLAIN_HEAD = re.compile(rb"(?:#[^\n]*\n)*" + ",".join(PROFILE_HEADER).encode()
+                         + rb"\r?\n(?=[-.0-9])")
 _BLOCK = 512  # rows formatted per write: bounds the text held in memory
 
 
@@ -287,12 +292,19 @@ def write_profile_csv(path: Path, state: State) -> None:
 def read_profile_csv(path: Path, grid: Grid) -> State:
     dialect = {"delimiter": ",", "quotechar": '"', "ndmin": 2}
     try:
-        with open(path, newline="") as fh:
-            rows = [s for line in fh if (s := line.strip()) and not s.startswith("#")]
-        header = np.loadtxt(rows[:1], str, **dialect)[0].tolist() if rows else None
-        if header != PROFILE_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        data = np.loadtxt(rows[1:], **dialect) if rows[1:] else np.empty((0, 0))
+        data, raw = None, path.read_bytes()
+        if head := _PLAIN_HEAD.match(raw):  # the rows parsed at once
+            try:
+                data = np.loadtxt(io.StringIO(raw[head.end():].decode()), **dialect)
+            except ValueError:  # e.g. a blank line of spaces: line by line below
+                pass
+        if data is None:
+            rows = [s for line in io.StringIO(raw.decode(), newline="")
+                    if (s := line.strip()) and not s.startswith("#")]
+            header = np.loadtxt(rows[:1], str, **dialect)[0].tolist() if rows else None
+            if header != PROFILE_HEADER:
+                raise ValueError(f"unexpected header {header}")
+            data = np.loadtxt(rows[1:], **dialect) if rows[1:] else np.empty((0, 0))
         if data.shape != (grid.n, len(PROFILE_HEADER)):
             raise ValueError(f"data shape {data.shape}, expected {grid.n} rows "
                              f"(grid nodes) of {len(PROFILE_HEADER)} columns")

@@ -59,7 +59,7 @@ import numpy as np
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
                     _multiplier_array, _nonlinearity)
-from .spectral import Grid, check_args, fft, ifft, is_finite, is_integer
+from .spectral import Grid, check_args, fft, ifft, irfft, is_finite, is_integer, rfft
 from .spectral import _rearrange_samples  # noqa: F401 (bench/tracing.py wraps it here)
 from .tolerances import DEFAULT as TOLS
 
@@ -154,9 +154,10 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _initial_array(masses: MassTriple, grid: Grid,
-                   start: Optional[State]) -> np.ndarray:
-    """A solver's start: the live rows of `start`, or gaussian bumps."""
+def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State],
+                   real: bool = True) -> np.ndarray:
+    """A solver's start: the live rows of `start` (their moduli if `real`),
+    or gaussian bumps."""
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
     if start is not None:
@@ -166,8 +167,10 @@ def _initial_array(masses: MassTriple, grid: Grid,
             raise ValueError(f"component {empty[0] + 1} is identically zero; "
                              f"cannot rescale it to mass {targets[empty[0]]}")
         u = start.stack()[live]
+        if real:
+            u = np.abs(u)
     else:  # gaussian bumps
-        u = np.empty((live.size, grid.n), dtype=complex)
+        u = np.empty((live.size, grid.n))
         u[:] = np.exp(-grid.nodes ** 2 / 8.0)
     return _project(u, targets[live], grid.spacing)
 
@@ -203,12 +206,12 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
-    h = grid.spacing
-    k2 = grid.wavenumbers ** 2
+    n, h = grid.n, grid.spacing
+    k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(masses, grid, cfg.initial_state)  # (k, n): the live rows
+    u = _initial_array(masses, grid, cfg.initial_state)  # (k, n) real: the live rows
 
-    size = 2 * u.size  # mixing history over the real view of the iterate
+    size = u.size  # mixing history over the flat iterate
     dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
     x_prev, f_prev = np.empty(size), np.empty(size)
     count = -1  # differences recorded; -1 before the first iterate
@@ -220,7 +223,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     res = res_min = np.inf
     best = 0  # accepted iterations up to the lowest residual
     for it in range(cfg.max_iters):
-        uh = fft(u)
+        uh = rfft(u)
         mod = np.abs(u)
         mod_p = mod ** p
         kin, inter = _energy_terms(u, grid, a, p, uh, mod_p)
@@ -247,10 +250,9 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
             break
         e_prev = E
 
-        g = _project(ifft(uh - rh / (k2 + _shift(w, grid)[:, None])), m, h)
+        g = _project(irfft(uh - rh / (k2 + _shift(w, grid)[:, None]), n), m, h)
 
-        x = u.view(float).ravel()  # real views of the iterate and the step
-        gx = g.view(float).ravel()
+        x, gx = u.ravel(), g.ravel()  # flat views of the iterate and the step
         f = gx - x
         if count >= 0:
             np.subtract(x, x_prev, out=dX[count % _DEPTH])
@@ -267,7 +269,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         gamma = np.linalg.lstsq(F @ F.T, F @ f, rcond=None)[0]
         mixed = gx - gamma @ dX[:len(F)]
         mixed -= gamma @ F
-        u, plain = _project(mixed.view(complex).reshape(g.shape), m, h), g
+        u, plain = _project(mixed.reshape(g.shape), m, h), g
         del f, mixed  # free before the next step: lower peak memory
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
@@ -301,7 +303,7 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
                                f"the solved component has mass {float(achieved[j])!r}")
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision from
     # |u|^p in double at p != 2 (a long-double pow would be most of the pass)
-    ul = u.astype(np.clongdouble)
+    ul = u.astype(np.result_type(u, np.longdouble))
     mod_p = None if p == 2 else (np.abs(u) ** p).astype(np.longdouble)
     kin, inter = _energy_terms(ul, grid, a, p, mod_p=mod_p)
     dq = h * (np.abs(ul) ** 2).sum(axis=1) - m
@@ -334,7 +336,7 @@ def refine_fixed_point(state: State, model: CouplingModel,
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     k2 = grid.wavenumbers ** 2
     target = _residual_target(grid, 1e-11)
-    u = _initial_array(masses, grid, state)  # live rows
+    u = _initial_array(masses, grid, state, real=False)  # live rows
     w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, check_args, fft, ifft, is_finite, require_same_grid
+from .spectral import (Field, Grid, check_args, fft, ifft, is_finite,
+                       require_same_grid, rfft)
 
 
 def _exponent_rule(p) -> tuple:
@@ -120,7 +121,24 @@ class State:
 # array of k components with its k x k coupling block `a` and the exponent p.
 # The time stepper passes all three rows.  The multiplier and the residual
 # divide by the masses: the solver and their entry points pass live rows only.
+# A complex array (the time stepper's) is transformed over its full spectrum,
+# a real one (the flow's) over its half spectrum, the n/2 + 1 non-negative
+# frequencies, whose sums take the Parseval weights 1, 2, ..., 2, 1.
 # ---------------------------------------------------------------------------
+
+def _forward(u: np.ndarray) -> np.ndarray:
+    """The spectrum of u: full for a complex u, half for a real one."""
+    return fft(u) if np.iscomplexobj(u) else rfft(u)
+
+
+def _spectral_sum(terms: np.ndarray, n: int) -> np.ndarray:
+    """Row sums over all n frequencies of `terms`, given on a full or a half
+    spectrum (whose inner frequencies stand for two)."""
+    total = terms.sum(axis=1)
+    if terms.shape[1] != n:
+        total = 2 * total - terms[:, 0] - terms[:, -1]
+    return total
+
 
 def _coefficients(u: np.ndarray, a: np.ndarray, p: float,
                   mod_p: np.ndarray = None) -> np.ndarray:
@@ -145,14 +163,14 @@ def _energy_terms(u: np.ndarray, grid: Grid, a: np.ndarray, p: float,
 
     Returns (kin, inter) with kin_j = int |u_j'|^2 and
     inter_j = int |u_j|^p sum_k a_jk |u_k|^p, so that
-    H = sum(kin) - sum(inter)/p.  `uh` optionally passes fft(u)
+    H = sum(kin) - sum(inter)/p.  `uh` optionally passes the spectrum of u
     and `mod_p` the moduli np.abs(u) ** p.
     """
     h = grid.spacing
-    k2 = grid.wavenumbers ** 2
     if uh is None:
-        uh = fft(u)
-    kin = h / grid.n * (k2 * np.abs(uh) ** 2).sum(axis=1)
+        uh = _forward(u)
+    k2 = grid.wavenumbers[:uh.shape[1]] ** 2
+    kin = h / grid.n * _spectral_sum(k2 * (uh.real ** 2 + uh.imag ** 2), grid.n)
     if mod_p is None:
         mod_p = np.abs(u) ** p
     inter = h * (mod_p * (a @ mod_p)).sum(axis=1)
@@ -178,13 +196,14 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
                        a: np.ndarray, p: float, m: np.ndarray = None,
                        uh: np.ndarray = None, N: np.ndarray = None):
     """(max_j ||G_j + w_j u_j|| / sqrt(m_j), rh), by Parseval from rh_j =
-    (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j + w_j u_j; `m`, `uh`,
-    `N` default to the masses of u, fft(u) and N(u)."""
+    (k^2 + w_j) u_hat_j - N_hat_j, the transform of G_j + w_j u_j (full or
+    half spectrum, as u is complex or real); `m`, `uh`, `N` default to the
+    masses of u, the spectrum of u and N(u)."""
     m = grid.spacing * (np.abs(u) ** 2).sum(axis=1) if m is None else m
-    uh = fft(u) if uh is None else uh
+    uh = _forward(u) if uh is None else uh
     N = _nonlinearity(u, a, p) if N is None else N
-    rh = (grid.wavenumbers ** 2 + w[:, None]) * uh - fft(N)
-    sq = grid.spacing / grid.n * (np.abs(rh) ** 2).sum(axis=1) / m
+    rh = (grid.wavenumbers[:uh.shape[1]] ** 2 + w[:, None]) * uh - _forward(N)
+    sq = grid.spacing / grid.n * _spectral_sum(rh.real ** 2 + rh.imag ** 2, grid.n) / m
     return float(np.sqrt(sq.max())), rh
 
 
@@ -192,9 +211,16 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
 # public operations
 # ---------------------------------------------------------------------------
 
+def _state_array(state: State) -> np.ndarray:
+    """state.stack(), or its real part when every imaginary part is zero, so
+    that a real state (a solved profile) takes the flow's real path."""
+    u = state.stack()
+    return u if u.imag.any() else np.ascontiguousarray(u.real)
+
+
 def energy(state: State, model: CouplingModel) -> float:
     """Value of the energy functional H."""
-    return _energy_array(state.stack(), state.grid, model.a, model.p)
+    return _energy_array(_state_array(state), state.grid, model.a, model.p)
 
 
 def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
@@ -206,7 +232,7 @@ def lagrange_multipliers(state: State, model: CouplingModel) -> Multipliers:
     m = state.masses()
     if not np.all(m > 0):
         raise ValueError("undefined multiplier: a component has zero mass")
-    return Multipliers(*map(float, _multiplier_array(state.stack(), state.grid,
+    return Multipliers(*map(float, _multiplier_array(_state_array(state), state.grid,
                                                      model.a, model.p, m)))
 
 
@@ -216,7 +242,7 @@ def el_residual(state: State, mult: Multipliers, model: CouplingModel) -> float:
     live = np.flatnonzero(m > 0)
     if not live.size:
         raise ValueError("all components have zero mass")
-    return _el_residual_array(state.stack()[live], mult.as_array()[live], state.grid,
+    return _el_residual_array(_state_array(state)[live], mult.as_array()[live], state.grid,
                               model.a[np.ix_(live, live)], model.p, m[live])[0]
 
 

@@ -10,10 +10,11 @@ Conventions:
     nodes        x_m = -L/2 + m*h,  h = L/n,  m = 0..n-1
     wavenumbers  k in standard FFT order, 2*pi*fftfreq(n, h)
 
-Every transform in trinls is `fft`/`ifft` below, over the last axis: the
-call `scipy.fft.fft`/`ifft` make to pocketfft's kernel after their backend
-dispatch, so the bits are the same, and `scipy.fft.set_backend`/`set_workers`
-do not reach trinls.  The dispatch costs about 4 us a call (9.3 against 4.9 us
+Every transform in trinls is `fft`/`ifft` below, or `rfft`/`irfft` for the
+real arrays of the ground-state flow, over the last axis: the call
+`scipy.fft.fft`/`ifft`/`rfft`/`irfft` make to pocketfft's kernel after their
+backend dispatch, so the bits are the same, and
+`scipy.fft.set_backend`/`set_workers` do not reach trinls.  The dispatch costs about 4 us a call (9.3 against 4.9 us
 for a (3, 256) complex array, on a 2-vCPU x86-64 machine with SciPy 1.17).
 
 `_rearrange_samples`, the symmetric decreasing rearrangement as a
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import c2c
+from scipy.fft._pocketfft.pypocketfft import c2c, c2r, r2c
 
 
 def check_args(*rules) -> None:
@@ -61,6 +62,18 @@ def fft(x: np.ndarray) -> np.ndarray:
 def ifft(x: np.ndarray) -> np.ndarray:
     """Inverse DFT over the last axis (1/n), as `scipy.fft.ifft(x, axis=-1)`."""
     return c2c(x, (-1,), False, 2, None, 1)
+
+
+def rfft(x: np.ndarray) -> np.ndarray:
+    """Forward DFT of real samples over the last axis, its n // 2 + 1
+    non-negative frequencies, as `scipy.fft.rfft(x, axis=-1)`."""
+    return r2c(x, (-1,), True, 0, None, 1)
+
+
+def irfft(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `rfft` over the last axis (1/n), n real samples, as
+    `scipy.fft.irfft(x, n, axis=-1)`."""
+    return c2r(x, (-1,), n, False, 2, None, 1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

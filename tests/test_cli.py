@@ -616,7 +616,7 @@ class TestSolve:
         # solver error, not a traceback from the achieved masses' rule
         cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 2.2250738585072014e-308")
                            .replace("n = 512", "n = 256").replace("length = 40.0",
-                                                                  "length = 30.0"))
+                                                                  "length = 10.0"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(
@@ -804,6 +804,28 @@ class TestEvolve:
         path.write_text(edit((tmp_path / "p.csv").read_bytes().decode()), newline="")
         back = read_profile_csv(path, grid).stack()
         assert np.array_equal(back.view(np.uint64), u.view(np.uint64))
+
+    def test_mixed_format_profile_keeps_every_bit(self, tmp_path):
+        # one file with every accepted form: a plain first row (read at
+        # once until the line of spaces), then quoted and space-padded
+        # cells, LF and CRLF, blank, space-only and `#` lines
+        grid = t.make_grid(16, 4.0)
+        pool = [-0.0, 5e-324, 1 / 3, -1e300, 0.1, 2.2250738585072014e-308, -7.0]
+        want = np.array([[x, *(pool[(i + j) % 7] * (i + 1) for j in range(6))]
+                         for i, x in enumerate(grid.nodes)])
+        lines = ["# written by hand", ",".join(PROFILE_HEADER)]
+        for i, row in enumerate(want.tolist()):
+            cells = [repr(v) for v in row]
+            if i % 4 == 1:
+                cells = [f'"{c}"' for c in cells]
+            lines.append((", " if i % 4 == 2 else ",").join(cells))
+            lines += [["   ", "", "# a comment", "  # indented"][i % 4]] if i else []
+        text = "".join(line + ("\r\n" if k % 2 else "\n") for k, line in enumerate(lines))
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(text.encode())
+        back = read_profile_csv(path, grid).stack()
+        parts = np.stack([back.real, back.imag], axis=1).reshape(6, -1).T
+        assert np.array_equal(parts.view(np.uint64), want[:, 1:].view(np.uint64))
 
     def test_missing_profile_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA, name="e.ini")

@@ -172,11 +172,12 @@ class TestSolverContracts:
                                                       name):
         # at the smallest normal target the solved mass comes out one ulp
         # below it, a subnormal: the error names that target, not the
-        # achieved masses' MassTriple rule
+        # achieved masses' MassTriple rule (on L = 30 the real flow's mass
+        # comes out at its target, and lambda = +2e-323 is not negative)
         with pytest.raises(t.ConvergenceError,
                            match=f"^mass {name} = {TINY!r} underflows: the solved "
                                  f"component has mass {float(np.nextafter(TINY, 0))!r}$"):
-            t.minimize(model_ones, t.MassTriple(*masses), t.make_grid(256, 30.0))
+            t.minimize(model_ones, t.MassTriple(*masses), t.make_grid(256, 10.0))
 
     def test_non_negative_minimum_is_not_a_minimizer(self, model_ones):
         # at r = 1e-300 the converged lambda rounds to a positive subnormal
@@ -441,13 +442,16 @@ class TestLiveRows:
 
     @staticmethod
     def record_transforms(monkeypatch):
-        """Wrap the fft and ifft names the solver and the model kernels call;
-        returns the list of the row counts they were given."""
+        """Wrap the transform names (fft, ifft, rfft, irfft) the solver and
+        the model kernels call; returns the list of the row counts they were
+        given."""
         import trinls.ground_state as ground_state
         import trinls.model as model
         rows = []
         for module in (ground_state, model):
-            for name in ("fft", "ifft"):
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                if not hasattr(module, name):
+                    continue
                 def traced(x, *args, inner=getattr(module, name), **kwargs):
                     rows.append(x.shape[0])
                     return inner(x, *args, **kwargs)
@@ -473,6 +477,47 @@ class TestLiveRows:
             assert np.all(u == 0) and not np.any(np.signbit(u.view(float)))
             assert np.all(np.isnan(gs.multipliers.as_array()[dead]))
             assert np.all(gs.masses_achieved.as_array()[dead] == 0.0)
+
+
+class TestRealFlow:
+    """The flow, its mixing history and lambda run on real arrays: replacing
+    u by |u| keeps the masses and does not raise H, and the minimizers are
+    real up to a constant phase per component."""
+
+    @pytest.mark.parametrize("masses", [(2.0, 1.5, 1.2), (0.0, 1.5, 1.2),
+                                        (2.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_no_complex_transform(self, monkeypatch, p, masses):
+        import trinls.ground_state as ground_state
+        import trinls.model as model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex transform in minimize")
+
+        for module in (ground_state, model):
+            for name in ("fft", "ifft"):
+                monkeypatch.setattr(module, name, refuse)
+        gs = t.minimize(t.CouplingModel(ASYMMETRIC_A, p), t.MassTriple(*masses),
+                        t.make_grid(256, 40.0))
+        im = gs.profile.stack().imag
+        assert np.all(im == 0) and not np.any(np.signbit(im))  # +0.0 each
+
+    @pytest.mark.parametrize("phases", [(1j, -1.0, -1j),
+                                        tuple(np.exp(1j * np.array([0.4, 1.0, -2.3])))])
+    def test_start_phases_are_dropped(self, grid40, phases):
+        # e^{i theta_j} u_j starts the flow from |e^{i theta_j} u_j|: the
+        # bits of u_j itself for the unit phases 1j, -1, -1j
+        model, masses = t.CouplingModel(ASYMMETRIC_A, 2.5), t.MassTriple(2.0, 1.5, 1.2)
+        u = np.exp(-(grid40.nodes - np.array([[0.0], [1.0], [-1.5]])) ** 2 / 8)
+        rotated = np.array(phases)[:, None] * u
+        moduli = np.abs(rotated)
+        if phases[0] == 1j:
+            assert moduli.tobytes() == u.tobytes()
+        a, b = (t.minimize(model, masses, grid40, t.SolverConfig(
+            initial_state=t.State.from_array(grid40, v))) for v in (rotated, moduli))
+        assert a.profile.stack().tobytes() == b.profile.stack().tobytes()
+        assert (a.lam, a.residual, a.iterations) == (b.lam, b.residual, b.iterations)
+        assert a.multipliers == b.multipliers
 
 
 class TestOneResidualDefinition:

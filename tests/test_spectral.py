@@ -54,18 +54,21 @@ class TestGrid:
 
 
 class TestTransformPair:
-    """`spectral.fft`/`ifft` call pocketfft's kernel without scipy.fft's
-    dispatch; they must give scipy.fft's dtype and bits, so a SciPy that
-    moves or changes the kernel fails here."""
+    """`spectral.fft`/`ifft` and `rfft`/`irfft` call pocketfft's kernels
+    without scipy.fft's dispatch; they must give scipy.fft's dtype and bits,
+    so a SciPy that moves or changes a kernel fails here."""
 
     SHAPES = ("1-D", "(1, n)", "(3, n)", "(6, n)", "x[::2]")
 
     @staticmethod
     def sample(shape, dtype, n):
-        """Random complex samples of `dtype`: rows of a (6, n) array, every
-        second one for x[::2] (a strided view)."""
+        """Random samples of `dtype`, real or complex: rows of a (6, n)
+        array, every second one for x[::2] (a strided view)."""
         rng = np.random.default_rng(n)
-        x = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))).astype(dtype)
+        x = rng.standard_normal((6, n))
+        if np.issubdtype(dtype, np.complexfloating):
+            x = x + 1j * rng.standard_normal((6, n))
+        x = x.astype(dtype)
         return {"1-D": x[0], "(1, n)": x[:1], "(3, n)": x[:3], "(6, n)": x,
                 "x[::2]": x[::2]}[shape]
 
@@ -83,6 +86,17 @@ class TestTransformPair:
         x = self.sample(shape, dtype, n)
         self.assert_same_bits(spectral.fft(x), scipy.fft.fft(x, axis=-1))
         self.assert_same_bits(spectral.ifft(x), scipy.fft.ifft(x, axis=-1))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_real_pair_bits_of_scipy_fft(self, dtype, n, shape):
+        x = self.sample(shape, dtype, n)
+        xh = spectral.rfft(x)
+        self.assert_same_bits(xh, scipy.fft.rfft(x, axis=-1))
+        kept = xh.copy()
+        self.assert_same_bits(spectral.irfft(xh, n), scipy.fft.irfft(xh, n, axis=-1))
+        self.assert_same_bits(xh, kept)  # the inverse leaves its input alone
 
     def test_real_input(self):
         x = np.random.default_rng(0).standard_normal((3, 256))

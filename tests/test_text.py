@@ -96,9 +96,12 @@ def test_solved_profile_is_mostly_certified(monkeypatch):
     u = gs.profile.stack()
     block = np.column_stack([grid.nodes, *np.stack([u.real, u.imag], axis=1)
                              .reshape(6, -1)])
-    assert np.count_nonzero(block) >= block.size - 1  # x = 0 at one node
+    # the imaginary columns are exact zeros, which take no repr call: the
+    # x and real columns are the cells to certify
+    real = block[:, [0, 1, 3, 5]]
+    assert np.count_nonzero(real) >= real.size - 1  # x = 0 at one node
     calls = []
     monkeypatch.setattr(text, "repr", lambda v: calls.append(v) or builtins.repr(v),
                         raising=False)
     assert csv_rows(block) == reference(block)
-    assert len(calls) <= 0.1 * block.size
+    assert len(calls) <= 0.1 * real.size
