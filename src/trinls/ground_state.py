@@ -24,6 +24,15 @@ About 15 iterations reach the round-off floor; `_STALL` accepted iterations
 without a new lowest residual mean a floor above the target, and end the
 flow.
 
+The flow and lambda run in real arithmetic.  Up to one constant phase per
+component the minimizers are positive functions, and replacing u by |u|
+keeps the masses and does not raise H, since |(|u|)'| <= |u'|.  So the flow
+starts from the moduli of its start, transforms by `rfft`/`irfft` (the model
+kernels take a real array's half spectrum), and its Anderson history holds
+the real iterate; lambda's extended-precision pass is r2c in long double,
+and the packaged profile's imaginary parts are exact +0.0.  The polish stays
+complex.
+
 The flow, the polish and lambda work on the live components only, those
 with positive target mass: a (k, n) array of their rows, with the k x k
 coupling block a[live, live].  Both solvers build their start on those rows
@@ -88,8 +97,10 @@ class SolverConfig:
     """Knobs for `minimize`.  Defaults suit n=1024, L=40 production runs.
 
     `residual_tol` is raised to the grid's round-off floor
-    (`_residual_target`).  The flow starts from `initial_state` when it is
-    given, else from gaussian bumps on the active components.
+    (`_residual_target`).  The flow starts from the moduli |u_j| of
+    `initial_state` when it is given (each component's phases are dropped,
+    which keeps the masses and does not raise the energy), else from
+    gaussian bumps on the active components.
     """
 
     max_iters: int = 5000

@@ -11,11 +11,12 @@ Conventions:
     wavenumbers  k in standard FFT order, 2*pi*fftfreq(n, h)
 
 Every transform in trinls is `fft`/`ifft` below, or `rfft`/`irfft` for the
-real arrays of the ground-state flow, over the last axis: the call
-`scipy.fft.fft`/`ifft`/`rfft`/`irfft` make to pocketfft's kernel after their
-backend dispatch, so the bits are the same, and
-`scipy.fft.set_backend`/`set_workers` do not reach trinls.  The dispatch costs about 4 us a call (9.3 against 4.9 us
-for a (3, 256) complex array, on a 2-vCPU x86-64 machine with SciPy 1.17).
+real arrays of the ground-state flow, over the last axis: the call that
+`scipy.fft.fft`/`ifft`/`rfft`/`irfft` make to pocketfft's kernels after their
+backend dispatch, so the bits are the same, and `scipy.fft.set_backend`/
+`set_workers` do not reach trinls.  The dispatch costs about 4 us a call (9.3
+against 4.9 us for a (3, 256) complex array, on a 2-vCPU x86-64 machine with
+SciPy 1.17).
 
 `_rearrange_samples`, the symmetric decreasing rearrangement as a
 permutation of samples, has no caller in the library: the benchmark's traced
