@@ -24,8 +24,8 @@ Only `#` starts an inline comment: `;` separates subadd splits.
 
 Scalars go to JSON, field data to CSV: an optional `# ` line ending in LF,
 then header and rows ending in CRLF, each float its shortest round-trip repr
-(a profile read back may also use LF, quoted or space-padded cells, blank
-lines).  All-float blocks (profile.csv, the snapshots, trace.csv) are
+(a profile read back may also use LF or CR, quoted or space-padded cells,
+blank lines).  All-float blocks (profile.csv, the snapshots, trace.csv) are
 formatted in bulk by `text.csv_rows`, whose digits are certified equal to
 repr's, and a cell it cannot certify is formatted by repr itself; the
 snapshot index and margins.csv, which hold text or bool columns, are
@@ -47,10 +47,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
-import re
 import sys
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
@@ -165,9 +163,10 @@ def _build(prefix: str, factory, **kwargs):
 def _split_parts(split: tuple, total: MassTriple) -> tuple:
     """(split, part 1, part 2) of a [subadd] split: part 1 is the split itself."""
     rest = (total.r - split[0], total.s - split[1], total.t - split[2])
-    # the slack absorbs round-off, not mass on a component the total lacks
-    if min(rest) < -1e-12 or any(
-            s > 0 and m == 0 for s, m in zip(split, total.as_array())):
+    # a few ulps of each total's component absorb round-off, not mass (none
+    # on a component the total lacks)
+    slack = 4 * sys.float_info.epsilon
+    if any(v < -slack * m for v, m in zip(rest, astuple(total))):
         raise ValueError("exceeds total masses")
     return split, MassTriple(*split), MassTriple(*(max(v, 0.0) for v in rest))
 
@@ -258,9 +257,6 @@ def write_metadata(out: Path, argv) -> None:
 
 
 PROFILE_HEADER = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
-# the head of a profile as written: `#` lines, the header, then a data row
-_PLAIN_HEAD = re.compile(rb"(?:#[^\n]*\n)*" + ",".join(PROFILE_HEADER).encode()
-                         + rb"\r?\n(?=[-.0-9])")
 _BLOCK = 512  # rows formatted per write: bounds the text held in memory
 
 
@@ -290,21 +286,18 @@ def write_profile_csv(path: Path, state: State) -> None:
 
 
 def read_profile_csv(path: Path, grid: Grid) -> State:
-    dialect = {"delimiter": ",", "quotechar": '"', "ndmin": 2}
     try:
-        data, raw = None, path.read_bytes()
-        if head := _PLAIN_HEAD.match(raw):  # the rows parsed at once
-            try:
-                data = np.loadtxt(io.StringIO(raw[head.end():].decode()), **dialect)
-            except ValueError:  # e.g. a blank line of spaces: line by line below
-                pass
-        if data is None:
-            rows = [s for line in io.StringIO(raw.decode(), newline="")
-                    if (s := line.strip()) and not s.startswith("#")]
-            header = np.loadtxt(rows[:1], str, **dialect)[0].tolist() if rows else None
-            if header != PROFILE_HEADER:
-                raise ValueError(f"unexpected header {header}")
-            data = np.loadtxt(rows[1:], **dialect) if rows[1:] else np.empty((0, 0))
+        # LF, CRLF and a lone CR end a line (CRLF leaves a blank line, dropped);
+        # `#` starts a comment and a cell may be quoted, as in the rows
+        rows = [s for s in map(str.strip, path.read_bytes().decode()
+                               .replace("\r", "\n").split("\n"))
+                if s and s[0] != "#"]
+        header = [c[1:-1] if c[:1] == c[-1:] == '"' else c
+                  for c in rows[0].partition("#")[0].split(",")] if rows else None
+        if header != PROFILE_HEADER:
+            raise ValueError(f"unexpected header {header}")
+        data = (np.loadtxt(rows[1:], delimiter=",", quotechar='"', ndmin=2)
+                if rows[1:] else np.empty((0, 0)))
         if data.shape != (grid.n, len(PROFILE_HEADER)):
             raise ValueError(f"data shape {data.shape}, expected {grid.n} rows "
                              f"(grid nodes) of {len(PROFILE_HEADER)} columns")

@@ -12,10 +12,12 @@ neither recorded nor snapshotted costs two transform calls of three rows:
 the forward one out of the nonlinear substep and the inverse one into the
 next.  A recorded step makes its inverse transform of a stacked (6, n)
 array instead, whose rows give the next nonlinear substep's input and the
-samples u(t_n), bit for bit as separate calls would; its record uses the
-model's energy kernel, and the drifts are formed once after the loop.  A
-snapshotted step hands its state to the caller's hook, sample(t, State),
-and keeps nothing, so a run of any length holds one state at a time.
+samples u(t_n), bit for bit as separate calls would; it stays because
+three separate calls slow a run that records every step and speed up none
+that records sparsely.  Its record uses the model's energy kernel, and the
+drifts are formed once after the loop.  A snapshotted step hands its state
+to the caller's hook, sample(t, State), and keeps nothing, so a run of any
+length holds one state at a time.
 
 The nonlinear substep is exact: the coefficients depend only on the moduli
 |u_m|, and a simultaneous pure phase rotation of the components leaves every
@@ -169,11 +171,12 @@ def evolve(state0: State, T: float, dt: float, model: CouplingModel,
     t = 0 and the last step are always included when enabled) the state is
     passed to the hook as sample(t, State) while the loop runs; nothing is
     kept, so memory does not grow with the number of samples.  No later
-    step writes to the samples a State views, so the hook may keep it.  Every step checks its phase rates for a
-    non-finite value, which flags exactly the first non-finite state, and
-    every recorded step its energy, which can overflow first (p > 2); either
-    raises BlowUpError there with the trace of the rows recorded before it,
-    after the samples before it have gone to the hook.
+    step writes to the samples a State views, so the hook may keep it.
+    Every step checks its phase rates for a non-finite value, which flags
+    exactly the first non-finite state, and every recorded step its energy,
+    which can overflow first (p > 2); either raises BlowUpError there with
+    the trace of the rows recorded before it, after the samples before it
+    have gone to the hook.
     ValueError: an argument of the wrong type, not finite or out of range
     (`check_evolve_args`, which calls T t), or snapshot_every > 0 without a
     hook.

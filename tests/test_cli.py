@@ -765,11 +765,20 @@ class TestEvolve:
         (profile_text().replace(",0.0\n", ",nan\n", 1), "non-finite"),
         (profile_text().replace(",0.0\n", ",-inf\n", 1), "non-finite"),
         (",".join(PROFILE_HEADER) + "\n", "rows"),
+        # only LF, CRLF and a lone CR end a line: one long line has no header
+        (profile_text().replace("\n", "\f"), "header"),
+        (profile_text().replace("\n", "\u2028"), "header"),
+        # a header name is bare or in double quotes, with nothing around it
+        (profile_text().replace("x,re_u1,", "x, re_u1,"), "header"),
+        (profile_text().replace("x,re_u1,", 'x,"re_u1,'), "unexpected header"),
+        (profile_text().replace("im_u3\n", "im_u3\0\n"), "unexpected header"),
     ], ids=["empty", "comments-only", "header", "rows", "nodes", "length",
-            "columns", "non-numeric", "ragged", "nan", "inf", "no-rows"])
+            "columns", "non-numeric", "ragged", "nan", "inf", "no-rows",
+            "form-feeds", "line-separators", "padded-header", "stray-quote",
+            "nul-header"])
     def test_bad_profile_exit_code(self, tmp_path, capsys, route, content, words):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        path.write_bytes(content.encode())  # the reader decodes UTF-8
         if route == "evolve":
             cfg = write_config(tmp_path, BASE + EVOLVE_EXTRA, name="e.ini")
             argv = ["evolve", "--config", cfg, "--profile", str(path)]
@@ -793,7 +802,12 @@ class TestEvolve:
             else ",".join(f'"{cell}"' for cell in line.split(","))
             for line in text.split("\r\n")),
         lambda text: "\n" + text.replace("\r\n", "\r\n\r\n") + "\n\n",
-    ], ids=["crlf", "lf", "spaces", "quoted", "blank-lines"])
+        lambda text: text.replace("\r\n", "\n").replace("\n", "\r"),
+        lambda text: text.replace(",".join(PROFILE_HEADER),
+                                  ",".join(f'"{h}"' for h in PROFILE_HEADER)),
+        lambda text: text.replace("im_u3\r\n", "im_u3# names\r\n"),
+    ], ids=["crlf", "lf", "spaces", "quoted", "blank-lines", "cr",
+            "quoted-header", "header-comment"])
     def test_accepted_profile_forms(self, tmp_path, edit):
         grid = t.make_grid(16, 4.0)
         rng = np.random.default_rng(5)
@@ -806,8 +820,7 @@ class TestEvolve:
         assert np.array_equal(back.view(np.uint64), u.view(np.uint64))
 
     def test_mixed_format_profile_keeps_every_bit(self, tmp_path):
-        # one file with every accepted form: a plain first row (read at
-        # once until the line of spaces), then quoted and space-padded
+        # one file with every accepted form: plain, quoted and space-padded
         # cells, LF and CRLF, blank, space-only and `#` lines
         grid = t.make_grid(16, 4.0)
         pool = [-0.0, 5e-324, 1 / 3, -1e300, 0.1, 2.2250738585072014e-308, -7.0]
@@ -1051,13 +1064,22 @@ class TestSubadd:
         assert "split (2.0, 0.0, 0.0): no convergence in 2 iterations" in err
 
     def test_split_exceeding_total_rejected(self, tmp_path, capsys):
-        # 2,1e-13,0 lies within the round-off slack, but the total has no s
-        for splits in ("5,0,0", "2,1e-13,0"):
-            cfg = write_config(tmp_path, BASE + f"\n[subadd]\nsplits = {splits}\n",
+        # the total has no s; on a total s = 1e-13, 3e-13 is mass, not round-off
+        small = BASE.replace("r = 4.0\ns = 0.0", "r = 1.0\ns = 1e-13")
+        for base, splits in ((BASE, "5,0,0"), (BASE, "2,1e-13,0"),
+                             (small, "0.5,3e-13,0")):
+            cfg = write_config(tmp_path, base + f"\n[subadd]\nsplits = {splits}\n",
                                name="sub2.ini")
             assert main(["subadd", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--quiet"]) == 1
-            assert "exceeds" in capsys.readouterr().err
+            assert "exceeds total masses" in capsys.readouterr().err
+        # a one-ulp overshoot is round-off: its second part takes no s
+        over = float(np.nextafter(1e-13, 1.0))
+        cfg = write_config(tmp_path, small + f"\n[subadd]\nsplits = 0.5,{over!r},0\n",
+                           name="sub2.ini")
+        (split, part1, part2), = load_config(cfg).subadd
+        assert part1 == t.MassTriple(0.5, over, 0.0)
+        assert part2 == t.MassTriple(0.5, 0.0, 0.0)
 
     @pytest.mark.parametrize("command", ["solve", "subadd"])
     def test_splits_judged_at_load(self, tmp_path, capsys, command):
