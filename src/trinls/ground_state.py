@@ -24,14 +24,14 @@ About 15 iterations reach the round-off floor; `_STALL` accepted iterations
 without a new lowest residual mean a floor above the target, and end the
 flow.
 
-The flow and lambda run in real arithmetic.  Up to one constant phase per
-component the minimizers are positive functions, and replacing u by |u|
-keeps the masses and does not raise H, since |(|u|)'| <= |u'|.  So the flow
-starts from the moduli of its start, transforms by `rfft`/`irfft` (the model
-kernels take a real array's half spectrum), and its Anderson history holds
-the real iterate; lambda's extended-precision pass is r2c in long double,
-and the packaged profile's imaginary parts are exact +0.0.  The polish stays
-complex.
+The flow, the polish and lambda run in real arithmetic.  Up to one constant
+phase per component the minimizers are positive functions, and replacing u
+by |u| keeps the masses and does not raise H, since |(|u|)'| <= |u'|.  So
+both solvers start from the moduli of their start (its phases are dropped)
+and transform by `rfft`/`irfft` (the model kernels take a real array's half
+spectrum); the flow's Anderson history holds the real iterate, lambda's
+extended-precision pass is r2c in long double, and the packaged profile's
+imaginary parts are exact +0.0.
 
 The flow, the polish and lambda work on the live components only, those
 with positive target mass: a (k, n) array of their rows, with the k x k
@@ -49,10 +49,10 @@ lambda pass), which keeps lambda within an ulp of the all-long-double value.
 
 The independent cross-check `refine_fixed_point` rewrites the Euler-Lagrange
 system as u_j = E_{w_j} * N_j(u), where E_w is the Green kernel of
-(-d^2/dx^2 + w), i.e. division by (k^2 + w) in Fourier space, and iterates it
-with per-sweep mass renormalization and multiplier re-extraction up to the
-residual target; one guard (every active multiplier positive) and one sweep
-budget end it with `DivergenceError` otherwise.
+(-d^2/dx^2 + w), i.e. division by (k^2 + w) on the half spectrum, and
+iterates it with per-sweep mass renormalization and multiplier re-extraction
+up to the residual target; one guard (every active multiplier positive) and
+one sweep budget end it with `DivergenceError` otherwise.
 
 Also here: the subadditivity margin check.
 """
@@ -68,7 +68,7 @@ import numpy as np
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
                     _multiplier_array, _nonlinearity)
-from .spectral import Grid, check_args, fft, ifft, irfft, is_finite, is_integer, rfft
+from .spectral import Grid, check_args, irfft, is_finite, is_integer, rfft
 from .spectral import _rearrange_samples  # noqa: F401 (bench/tracing.py wraps it here)
 from .tolerances import DEFAULT as TOLS
 
@@ -165,10 +165,9 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State],
-                   real: bool = True) -> np.ndarray:
-    """A solver's start: the live rows of `start` (their moduli if `real`),
-    or gaussian bumps."""
+def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State]) -> np.ndarray:
+    """A solver's start: the moduli of the live rows of `start`, or gaussian
+    bumps."""
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
     if start is not None:
@@ -177,9 +176,7 @@ def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State],
         if empty.size:
             raise ValueError(f"component {empty[0] + 1} is identically zero; "
                              f"cannot rescale it to mass {targets[empty[0]]}")
-        u = start.stack()[live]
-        if real:
-            u = np.abs(u)
+        u = np.abs(start.stack()[live])
     else:  # gaussian bumps
         u = np.empty((live.size, grid.n))
         u[:] = np.exp(-grid.nodes ** 2 / 8.0)
@@ -314,7 +311,7 @@ def _package(u, w, res, iters, a, p, m, live, grid, history) -> GroundState:
                                f"the solved component has mass {float(achieved[j])!r}")
     # lambda = H(u) + sum_j w_j (Q_j(u) - m_j), in extended precision from
     # |u|^p in double at p != 2 (a long-double pow would be most of the pass)
-    ul = u.astype(np.result_type(u, np.longdouble))
+    ul = u.astype(np.longdouble)
     mod_p = None if p == 2 else (np.abs(u) ** p).astype(np.longdouble)
     kin, inter = _energy_terms(ul, grid, a, p, mod_p=mod_p)
     dq = h * (np.abs(ul) ** 2).sum(axis=1) - m
@@ -334,27 +331,28 @@ def refine_fixed_point(state: State, model: CouplingModel,
                        masses: MassTriple) -> GroundState:
     """Polish a near-solution by Green-kernel fixed-point sweeps.
 
-    Each sweep applies u_j <- (k^2 + w_j)^{-1} N_j(u) spectrally,
-    renormalizes the constrained masses and re-extracts the multipliers,
-    until the residual is below `_residual_target(grid, 1e-11)`.  Raises
-    `DivergenceError` when a multiplier is not positive (a non-finite iterate
-    included) or after `_MAX_SWEEPS` sweeps.
+    From the moduli of the live rows of `state`, each sweep applies u_j <-
+    (k^2 + w_j)^{-1} N_j(u) on the half spectrum, renormalizes the masses and
+    re-extracts the multipliers, until the residual is below
+    `_residual_target(grid, 1e-11)`.  Raises `DivergenceError` when a
+    multiplier is not positive (a non-finite iterate included) or after
+    `_MAX_SWEEPS` sweeps.
     """
     grid = state.grid
-    h = grid.spacing
+    n, h = grid.n, grid.spacing
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
-    k2 = grid.wavenumbers ** 2
+    k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, 1e-11)
-    u = _initial_array(masses, grid, state, real=False)  # live rows
+    u = _initial_array(masses, grid, state)  # (k, n) real: the live rows
     w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):
             raise DivergenceError(f"multiplier {_embed(w, live, np.nan)} "
                                   "not positive during refinement")
         N = _nonlinearity(u, a, p)
-        u = _project(ifft(fft(N) / (k2 + w[:, None])), m, h)
+        u = _project(irfft(rfft(N) / (k2 + w[:, None]), n), m, h)
         w = _multiplier_array(u, grid, a, p)
         res = _el_residual_array(u, w, grid, a, p)[0]
         if res < target:

@@ -122,7 +122,7 @@ class State:
 # The time stepper passes all three rows.  The multiplier and the residual
 # divide by the masses: the solver and their entry points pass live rows only.
 # A complex array (the time stepper's) is transformed over its full spectrum,
-# a real one (the flow's) over its half spectrum, the n/2 + 1 non-negative
+# a real one (the solvers') over its half spectrum, the n/2 + 1 non-negative
 # frequencies, whose sums take the Parseval weights 1, 2, ..., 2, 1.
 # ---------------------------------------------------------------------------
 
@@ -213,7 +213,7 @@ def _el_residual_array(u: np.ndarray, w: np.ndarray, grid: Grid,
 
 def _state_array(state: State) -> np.ndarray:
     """state.stack(), or its real part when every imaginary part is zero, so
-    that a real state (a solved profile) takes the flow's real path."""
+    that a real state (a solved profile) takes the solvers' real path."""
     u = state.stack()
     return u if u.imag.any() else np.ascontiguousarray(u.real)
 
@@ -275,8 +275,8 @@ def random_smooth_state(grid: Grid, rng, amplitude: float = 0.5) -> np.ndarray:
     """Localized smooth random (3, n) complex samples for diagnostics.
 
     Band-limited complex noise under a gaussian envelope, normalized so the
-    largest modulus equals `amplitude`; decays below round-off at the box
-    edge, so whole-line identities apply up to grid error.
+    largest modulus equals `amplitude`.  The envelope is exp(-8) ~ 3.4e-4 at
+    the box edge: whole-line identities hold only to about that level.
     """
     k = grid.wavenumbers
     env = np.exp(-grid.nodes ** 2 / (2 * (grid.length / 8) ** 2))

@@ -11,7 +11,7 @@ Conventions:
     wavenumbers  k in standard FFT order, 2*pi*fftfreq(n, h)
 
 Every transform in trinls is `fft`/`ifft` below, or `rfft`/`irfft` for the
-real arrays of the ground-state flow, over the last axis: the call that
+real arrays of the ground-state solvers, over the last axis: the call that
 `scipy.fft.fft`/`ifft`/`rfft`/`irfft` make to pocketfft's kernels after their
 backend dispatch, so the bits are the same, and `scipy.fft.set_backend`/
 `set_workers` do not reach trinls.  The dispatch costs about 4 us a call (9.3

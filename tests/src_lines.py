@@ -1,11 +1,13 @@
 """Raw and code-only line counts of each `src/trinls` module.
 
-    python tests/src_lines.py [REPO]
+    python tests/src_lines.py [REPO [OTHER]]
 
-REPO defaults to the checkout holding this script.  A code line holds a
-token that is not a comment, a line break, an indent or a docstring (a
-string that is a statement by itself).  This is a measuring tool: pytest
-does not collect it and it sets no bound.
+REPO defaults to the checkout holding this script.  With a second checkout
+OTHER, each module's counts on both trees are printed side by side, with
+the change from OTHER to REPO.  A code line holds a token that is not a
+comment, a line break, an indent or a docstring (a string that is a
+statement by itself).  This is a measuring tool: pytest does not collect it
+and it sets no bound.
 """
 
 import sys
@@ -32,14 +34,28 @@ def counts(path: Path) -> tuple:
     return len(path.read_bytes().splitlines()), len(code)
 
 
+def tree(repo: Path) -> dict:
+    """{module name: (raw lines, code lines)} of the checkout `repo`."""
+    return {path.name: counts(path)
+            for path in sorted((repo / "src" / "trinls").glob("*.py"))}
+
+
 def main(argv) -> None:
     repo = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
-    total = [0, 0]
-    for path in sorted((repo / "src" / "trinls").glob("*.py")):
-        raw, code = counts(path)
-        total = [total[0] + raw, total[1] + code]
-        print(f"{path.name:16s} {raw:5d} {code:5d}")
-    print(f"{'total':16s} {total[0]:5d} {total[1]:5d}")
+    trees = [tree(Path(path)) for path in [repo] + argv[2:3]]
+    for name in sorted(set().union(*trees)):
+        print(line(name, [t.get(name, (0, 0)) for t in trees]))
+    print(line("total", [tuple(map(sum, zip(*t.values()))) for t in trees]))
+
+
+def line(name: str, row: list) -> str:
+    """One module's (raw, code) counts; with a second tree, its counts and
+    the change from it."""
+    text = f"{name:16s}" + "".join(f" {raw:5d} {code:5d}" for raw, code in row)
+    if len(row) == 2:
+        (raw, code), (raw_o, code_o) = row
+        text += f" {raw - raw_o:+6d} {code - code_o:+6d}"
+    return text
 
 
 if __name__ == "__main__":

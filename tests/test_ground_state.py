@@ -435,6 +435,17 @@ class TestRefineFixedPoint:
         with pytest.raises(t.DivergenceError):
             t.refine_fixed_point(state, model_ones, t.MassTriple(0.01, 0.01, 0.01))
 
+    def test_phased_start_polishes_to_real_profile(self, gs_equal, model_ones):
+        # e^{i theta_j} u_j is polished from |u_j|: the phases are dropped
+        masses = t.MassTriple(4 / 3, 4 / 3, 4 / 3)
+        phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))[:, None]
+        phased = t.State.from_array(gs_equal.grid, phases * gs_equal.profile.stack())
+        polished = t.refine_fixed_point(phased, model_ones, masses)
+        im = polished.profile.stack().imag
+        assert np.all(im == 0) and not np.any(np.signbit(im))  # +0.0 each
+        assert polished.lam == t.refine_fixed_point(gs_equal.profile, model_ones,
+                                                    masses).lam
+
 
 class TestLiveRows:
     """The flow and the polish work on the components with positive target
@@ -480,9 +491,9 @@ class TestLiveRows:
 
 
 class TestRealFlow:
-    """The flow, its mixing history and lambda run on real arrays: replacing
-    u by |u| keeps the masses and does not raise H, and the minimizers are
-    real up to a constant phase per component."""
+    """The flow, its mixing history, the polish and lambda run on real
+    arrays: replacing u by |u| keeps the masses and does not raise H, and the
+    minimizers are real up to a constant phase per component."""
 
     @pytest.mark.parametrize("masses", [(2.0, 1.5, 1.2), (0.0, 1.5, 1.2),
                                         (2.0, 0.0, 0.0)])
@@ -492,15 +503,16 @@ class TestRealFlow:
         import trinls.model as model
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a complex transform in minimize")
+            raise AssertionError("a complex transform in a ground-state solver")
 
-        for module in (ground_state, model):
-            for name in ("fft", "ifft"):
-                monkeypatch.setattr(module, name, refuse)
-        gs = t.minimize(t.CouplingModel(ASYMMETRIC_A, p), t.MassTriple(*masses),
-                        t.make_grid(256, 40.0))
-        im = gs.profile.stack().imag
-        assert np.all(im == 0) and not np.any(np.signbit(im))  # +0.0 each
+        assert not hasattr(ground_state, "fft") and not hasattr(ground_state, "ifft")
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(model, name, refuse)
+        coupling, m = t.CouplingModel(ASYMMETRIC_A, p), t.MassTriple(*masses)
+        gs = t.minimize(coupling, m, t.make_grid(256, 40.0))
+        for solved in (gs, t.refine_fixed_point(gs.profile, coupling, m)):
+            im = solved.profile.stack().imag
+            assert np.all(im == 0) and not np.any(np.signbit(im))  # +0.0 each
 
     @pytest.mark.parametrize("phases", [(1j, -1.0, -1j),
                                         tuple(np.exp(1j * np.array([0.4, 1.0, -2.3])))])
