@@ -17,7 +17,8 @@ that takes a value checks its type, finiteness and range at load time
 section.key.  README's config schema lists the keys.
 
 Every ground state is one `minimize` call: it starts from init_profile when
-that is given, else from gaussian bumps, and stops on its residual target.
+that is given, else from the sech ground state of the equal-coupling
+reduction, and stops on its residual target.
 Only the stability perturbations draw random numbers, so only `stability`
 takes `--seed`, which replaces the [stability] seeds list.
 Only `#` starts an inline comment: `;` separates subadd splits.
@@ -216,7 +217,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         try:
             start = knobs["initial_state"] = read_profile_csv(Path(profile), grid)
             # the flow's start builder rejects a zero component with positive mass
-            _initial_array(masses, grid, start)
+            _initial_array(model, masses, grid, start)
         except (OSError, ValueError) as err:
             raise ConfigError(
                 f"cannot use solver.init_profile {profile!r}: {err}") from err

@@ -20,7 +20,11 @@ energy beyond the monotonicity slack (1e-11, or 64 eps |H| where that is
 larger: H's own round-off), or the residual above
 `_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain step
 and the history is cleared.
-About 15 iterations reach the round-off floor; `_STALL` accepted iterations
+Without `initial_state` the flow starts each live row from the sech ground
+state of the paper's equal-coupling reduction, one component carrying the
+total mass (`_initial_array`).  That start is the minimizer at p = 2 with
+every coupling 1, so those presets converge at once; other inputs reach the
+round-off floor in about 10-20 iterations.  `_STALL` accepted iterations
 without a new lowest residual mean a floor above the target, and end the
 flow.
 
@@ -67,7 +71,7 @@ import numpy as np
 
 from .model import (CouplingModel, MassTriple, Multipliers, State,
                     _el_residual_array, _energy_terms,
-                    _multiplier_array, _nonlinearity)
+                    _multiplier_array, _nonlinearity, sech_mass)
 from .spectral import Grid, check_args, irfft, is_finite, is_integer, rfft
 from .spectral import _rearrange_samples  # noqa: F401 (bench/tracing.py wraps it here)
 from .tolerances import DEFAULT as TOLS
@@ -99,8 +103,11 @@ class SolverConfig:
     `residual_tol` is raised to the grid's round-off floor
     (`_residual_target`).  The flow starts from the moduli |u_j| of
     `initial_state` when it is given (each component's phases are dropped,
-    which keeps the masses and does not raise the energy), else from
-    gaussian bumps on the active components.
+    which keeps the masses and does not raise the energy), else each of the
+    k active components from the sech ground state of one component with
+    the total mass and coupling mean(a[active, active]) k^(2-p), which k
+    equal components with equal coupling reduce to, rescaled to its own
+    mass.
     """
 
     max_iters: int = 5000
@@ -165,9 +172,14 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State]) -> np.ndarray:
-    """A solver's start: the moduli of the live rows of `start`, or gaussian
-    bumps."""
+def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
+                   start: Optional[State]) -> np.ndarray:
+    """A solver's start: the moduli of the live rows of `start`, or else on
+    each live row the shape sech(c x)^(1/(p-1)) of the one-component ground
+    state that k equal live rows with equal coupling reduce to: the total
+    mass M, the coupling a_eff = mean(a[live, live]) k^(2-p), the frequency
+    omega = (M / sech_mass(1, a_eff, p))^(2(p-1)/(3-p)) and c = sqrt(omega)
+    (p - 1), clamped to [1/L, 1/h] (non-finite extremes included)."""
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
     if start is not None:
@@ -177,9 +189,18 @@ def _initial_array(masses: MassTriple, grid: Grid, start: Optional[State]) -> np
             raise ValueError(f"component {empty[0] + 1} is identically zero; "
                              f"cannot rescale it to mass {targets[empty[0]]}")
         u = np.abs(start.stack()[live])
-    else:  # gaussian bumps
-        u = np.empty((live.size, grid.n))
-        u[:] = np.exp(-grid.nodes ** 2 / 8.0)
+    else:
+        p, k, h = model.p, live.size, grid.spacing
+        with np.errstate(all="ignore"):  # overflow clamps to 1/h, underflow to 1/L
+            a_eff = model.a[np.ix_(live, live)].mean() * k ** (2.0 - p)
+            omega = (targets.sum() / sech_mass(1.0, a_eff, p)) ** (2 * (p - 1) / (3 - p))
+            c = np.fmin(np.fmax(np.sqrt(omega) * (p - 1), 1 / grid.length), 1 / h)
+            # peak 2^e with h 4^e >= 1: each row's mass is at least 1, so the
+            # projection's target / mass stays finite, and a power of two
+            # projects to the bits of peak 1
+            e = max(0, math.ceil(-math.log2(h) / 2))
+            u = np.empty((k, grid.n))
+            u[:] = np.ldexp((1.0 / np.cosh(c * grid.nodes)) ** (1.0 / (p - 1)), e)
     return _project(u, targets[live], grid.spacing)
 
 
@@ -217,7 +238,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     n, h = grid.n, grid.spacing
     k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(masses, grid, cfg.initial_state)  # (k, n) real: the live rows
+    u = _initial_array(model, masses, grid, cfg.initial_state)  # (k, n) real: live rows
 
     size = u.size  # mixing history over the flat iterate
     dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
@@ -345,7 +366,7 @@ def refine_fixed_point(state: State, model: CouplingModel,
     m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
     k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, 1e-11)
-    u = _initial_array(masses, grid, state)  # (k, n) real: the live rows
+    u = _initial_array(model, masses, grid, state)  # (k, n) real: the live rows
     w, res = _multiplier_array(u, grid, a, p), np.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):

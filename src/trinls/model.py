@@ -15,11 +15,13 @@ Gradient convention: the first variation of H along a perturbation d is
 so a constrained minimizer satisfies G_j + w_j u_j = 0, where the w_j are the
 Lagrange multipliers of the three mass constraints.  The oracles that
 `trinls validate` runs are here too: the sech profile, the single-component
-minimum values and a finite-difference check of the G the flow computes.
+minimum values and a finite-difference check of the G the flow computes; so
+is the sech profile's closed-form mass, from which the flow's start is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +259,15 @@ def sech_profile(sigma: float, a: float, p: float, grid: Grid) -> Field:
     amp = (sigma * p / a) ** (1.0 / (2 * p - 2))
     arg = np.sqrt(sigma) * (2 * p - 2) * x / 2
     return Field(grid, amp * (1.0 / np.cosh(arg)) ** (2.0 / (2 * p - 2)))
+
+
+def sech_mass(omega: float, a: float, p: float) -> float:
+    """Mass of `sech_profile(omega, a, p)` on the line: (omega p /
+    a)^(1/(p-1)) B(1/(p-1), 1/2) / (sqrt(omega) (p - 1)), which is
+    4 sqrt(omega) / a at p = 2."""
+    nu = 1.0 / (p - 1.0)
+    beta = math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+    return (omega * p / a) ** nu * beta / (math.sqrt(omega) * (p - 1.0))
 
 
 def single_component_minimum(m: float) -> tuple:

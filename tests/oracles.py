@@ -10,8 +10,8 @@ these, so they live beside the tests and not in the library:
     model         gradient_array, energy_gradient, two_component_profile,
                   apply_symmetry, gn_ratio, gn_sharp_constant,
                   PhaseDiagnostics, phase_diagnostics
-    ground_state  noisy_start, lambda_long_double, two_component_min,
-                  ConcentrationProfile, concentration
+    ground_state  gaussian_start, noisy_start, lambda_long_double,
+                  two_component_min, ConcentrationProfile, concentration
 
 Conventions as in `trinls.spectral`:
     integrate(f) = h * sum(f)    and    mass(f) = integrate(|f|^2)
@@ -196,19 +196,27 @@ def phase_diagnostics(f: Field) -> PhaseDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# ground_state: a perturbed start, the reduced two-component problem and
-# concentration
+# ground_state: the gaussian and perturbed starts, the reduced two-component
+# problem and concentration
 # ---------------------------------------------------------------------------
 
+def gaussian_start(masses: MassTriple, grid: Grid) -> State:
+    """Gaussian bumps exp(-x^2/8) on the components with positive mass and
+    exact zeros elsewhere: the flow's start before it took the sech of the
+    equal-coupling reduction, which as `SolverConfig(initial_state=...)`
+    reproduces that flow's iterates bit for bit."""
+    live = (masses.as_array() > 0)[:, None]
+    return State.from_array(grid, live * np.exp(-grid.nodes ** 2 / 8.0).astype(complex))
+
+
 def noisy_start(masses: MassTriple, grid: Grid, noise: float, seed: int) -> State:
-    """The flow's gaussian bumps times 1 + noise * (complex standard normal
+    """`gaussian_start` times 1 + noise * (complex standard normal
     samples), for basin checks as `SolverConfig(initial_state=...)`: each
     component with positive mass, in order, draws its real then its
     imaginary parts from one `default_rng(seed)`; the others are zero."""
     rng = np.random.default_rng(seed)
-    u = np.zeros((3, grid.n), dtype=complex)
+    u = gaussian_start(masses, grid).stack()
     for j in np.flatnonzero(masses.as_array() > 0):
-        u[j] = np.exp(-grid.nodes ** 2 / 8.0)
         u[j] *= 1.0 + noise * (rng.standard_normal(grid.n)
                                + 1j * rng.standard_normal(grid.n))
     return State.from_array(grid, u)

@@ -28,6 +28,8 @@ import trinls.evolution as evolution
 import trinls.ground_state as ground_state
 import trinls.model as model
 
+import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
@@ -83,8 +85,8 @@ def test_one_nonlinearity_call_per_sweep_and_iteration(monkeypatch, grid40,
         calls.clear()
         gs = t.minimize(model_ones, masses, grid40)
         assert len(calls) == gs.iterations + 1
-        rough = t.minimize(model_ones, masses, grid40,
-                           t.SolverConfig(residual_tol=1e-6))
+        rough = t.minimize(model_ones, masses, grid40, t.SolverConfig(
+            residual_tol=1e-6, initial_state=oracles.gaussian_start(masses, grid40)))
         calls.clear()
         polished = t.refine_fixed_point(rough.profile, model_ones, masses)
         assert len(calls) == polished.iterations > 1

@@ -29,6 +29,8 @@ from trinls.cli import (_BLOCK, _SCHEMA, PROFILE_HEADER, ConfigError, RunConfig,
 from trinls.evolution import check_evolve_args
 from trinls.stability import check_stability_args
 
+import oracles
+
 BASE = """\
 [grid]
 n = 512
@@ -73,6 +75,16 @@ def write_config(tmp_path, text=BASE, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def gaussian_profile(tmp_path, n=512, length=40.0):
+    """BASE's TOL_LINE followed by an init_profile line naming a profile.csv
+    of `oracles.gaussian_start` for BASE's masses on the grid (n, length):
+    the flow's former start, which takes 13 iterations at n = 512."""
+    path = tmp_path / "gaussian.csv"
+    write_profile_csv(path, oracles.gaussian_start(t.MassTriple(4.0, 0.0, 0.0),
+                                                   t.make_grid(n, length)))
+    return f"{TOL_LINE}\ninit_profile = {path}"
 
 
 def scientific_files(out):
@@ -495,6 +507,7 @@ class TestEveryKeyIsRead:
         root = tmp_path_factory.mktemp("probe")
         profile = root / "0" / "solve" / "profile.csv"  # the first run's
         probe = {name: dict(rows) for name, rows in FULL_CFG.items()}
+        probe["coupling"]["a13"] = "0.8"  # unequal: 10 iterations, not 1
         probe["evolution"]["t"] = "0.1"
         probe["stability"].update(seeds="0", sample_every="50")
         runs = itertools.count()
@@ -600,7 +613,7 @@ class TestSolve:
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace(
-            TOL_LINE, f"{TOL_LINE}\nmax_iters = 2"))
+            TOL_LINE, f"{gaussian_profile(tmp_path)}\nmax_iters = 2"))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
 
@@ -614,13 +627,19 @@ class TestSolve:
     def test_underflowing_mass_exit_code(self, tmp_path, capsys):
         # at the smallest normal target the solved mass is subnormal: a
         # solver error, not a traceback from the achieved masses' rule
-        cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 2.2250738585072014e-308")
-                           .replace("n = 512", "n = 256").replace("length = 40.0",
-                                                                  "length = 10.0"))
+        text = (BASE.replace("r = 4.0", "r = 2.2250738585072014e-308")
+                .replace("n = 512", "n = 256").replace("length = 40.0", "length = 10.0"))
+        cfg = write_config(tmp_path, text.replace(
+            TOL_LINE, gaussian_profile(tmp_path, 256, 10.0)))
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(
             "solve failed: mass r = 2.2250738585072014e-308 underflows")
+        # from the default start the same target is a solver error too
+        cfg = write_config(tmp_path, text, name="default.ini")
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "d"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("solve failed: ")
 
     def test_subnormal_mass_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("r = 4.0", "r = 1e-323"))
@@ -636,7 +655,7 @@ class TestSolve:
     def test_nonconvergence_exit_code_every_command(self, tmp_path, capsys,
                                                     command, extra):
         cfg = write_config(tmp_path, BASE.replace(
-            TOL_LINE, f"{TOL_LINE}\nmax_iters = 2") + extra)
+            TOL_LINE, f"{gaussian_profile(tmp_path)}\nmax_iters = 2") + extra)
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert "solve failed" in capsys.readouterr().err

@@ -20,17 +20,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 import trinls as t
 from trinls.evolution import check_evolve_args
 from trinls.ground_state import _residual_target
+from trinls.model import sech_mass
 from trinls.stability import PERTURBATION_KINDS, _y_norm, check_stability_args
 from trinls.tolerances import DEFAULT as TOLS
 
+import oracles
+
 GRID = t.make_grid(256, 40.0)
-
-
-def sech_mass(omega, a, p):
-    """Mass of the one-component ground state of frequency omega."""
-    nu = 1.0 / (p - 1.0)
-    beta = math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
-    return (omega * p / a) ** nu * beta / (math.sqrt(omega) * (p - 1.0))
 
 
 def couplings(draw):
@@ -77,6 +73,10 @@ def test_minimize_properties(case):
     assert np.all(np.abs(achieved - targets) <= TOLS.projection_rel * targets)
     assert np.all(np.diff(gs.energy_history) <= TOLS.energy_monotone_slack)
     assert gs.iterations <= 40
+    # the sech start reaches the minimum value of the former gaussian start
+    gauss = t.minimize(model, masses, GRID,
+                       t.SolverConfig(initial_state=oracles.gaussian_start(masses, GRID)))
+    assert abs(gs.lam - gauss.lam) <= TOLS.lambda_rel * abs(gauss.lam)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
