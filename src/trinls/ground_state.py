@@ -10,16 +10,17 @@ The flow steps along (k^2 + s_j)^{-1} (G_j + w_j u_j) in Fourier space, with
 w_j and the residual re-extracted every iteration by the `model` kernels the
 polish and `el_residual` use (relative to the prescribed masses here).  The
 fixed point of step + projection g(u) is exactly the Euler-Lagrange state.
-The shift s_j is w_j above a floor and a fallback below it (`_shift`): 1e-3
-and 0.5 at L = 40, both scaled by (40 / L)^2, as the multipliers scale under
-the mass-scaling law, so a scaled problem on its scaled box takes about as
-many iterations.  With s_j = w_j the step is the Green-kernel sweep below.
-g is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the
-last `_DEPTH` iterate and step differences; a mixed iterate that raises the
-energy beyond the monotonicity slack (1e-11, or 64 eps |H| where that is
-larger: H's own round-off), or the residual above
-`_RESIDUAL_GROWTH` times the lowest one reached, gives way to the plain step
-and the history is cleared.
+The shift s_j is w_j above a floor and a fallback below it (`_shift`):
+`_SHIFT_FLOOR` and `_SHIFT_FALLBACK` at L = 40, both scaled by (40 / L)^2, as
+the multipliers scale under the mass-scaling law, so a scaled problem on its
+scaled box takes about as many iterations.  With s_j = w_j the step is the
+Green-kernel sweep below.  g is Anderson-mixed (Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011) over the last `_DEPTH` iterate and step differences; a mixed
+iterate that raises the energy beyond the monotonicity slack
+(`TOLS.energy_monotone_slack`, or `TOLS.energy_monotone_rel` |H| where that
+is larger: H's own round-off), or the residual above `_RESIDUAL_GROWTH` times
+the lowest one reached, gives way to the plain step and the history is
+cleared.
 Without `initial_state` the flow starts each live row from the sech ground
 state of the paper's equal-coupling reduction, one component carrying the
 total mass (`_initial_array`).  That start is the minimizer at p = 2 with
@@ -39,10 +40,12 @@ imaginary parts are exact +0.0.
 
 The flow, the polish and lambda work on the live components only, those
 with positive target mass: a (k, n) array of their rows, with the k x k
-coupling block a[live, live].  Both solvers build their start on those rows
-alone, and the mass projection takes no other.  The three components are
-formed once, when the `GroundState` is packaged; a zero-mass one is an exact
-+0.0 row with a NaN multiplier and achieved mass 0.0.
+coupling block a[live, live].  One function, `_initial_array`, derives this
+live problem (indices, target masses, coupling block) and the start on those
+rows for both solvers, and the mass projection takes no other rows.  The
+three components are formed once, when the `GroundState` is packaged; a
+zero-mass one is an exact +0.0 row with a NaN multiplier and achieved mass
+0.0.
 
 Every `GroundState` reports lambda = H(u) + sum_j w_j (Q_j(u) - m_j) in
 extended precision, rounded once: the minimum value at the masses m, with the
@@ -173,8 +176,11 @@ def _project(u: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
 
 
 def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
-                   start: Optional[State]) -> np.ndarray:
-    """A solver's start: the moduli of the live rows of `start`, or else on
+                   start: Optional[State]) -> tuple:
+    """The live problem and a solver's start, as (live, m, a, u): the indices
+    of the components with positive target mass, their targets, the coupling
+    block a[live, live], and the (k, n) real start projected onto the
+    targets.  The start is the moduli of the live rows of `start`, or else on
     each live row the shape sech(c x)^(1/(p-1)) of the one-component ground
     state that k equal live rows with equal coupling reduce to: the total
     mass M, the coupling a_eff = mean(a[live, live]) k^(2-p), the frequency
@@ -182,6 +188,7 @@ def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
     (p - 1), clamped to [1/L, 1/h] (non-finite extremes included)."""
     targets = masses.as_array()
     live = np.flatnonzero(targets > 0)
+    m, a = targets[live], model.a[np.ix_(live, live)]
     if start is not None:
         check_args(("initial_state", start.grid, lambda g: g == grid, f"on {grid}"))
         empty = live[start.masses()[live] == 0.0]
@@ -192,8 +199,8 @@ def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
     else:
         p, k, h = model.p, live.size, grid.spacing
         with np.errstate(all="ignore"):  # overflow clamps to 1/h, underflow to 1/L
-            a_eff = model.a[np.ix_(live, live)].mean() * k ** (2.0 - p)
-            omega = (targets.sum() / sech_mass(1.0, a_eff, p)) ** (2 * (p - 1) / (3 - p))
+            a_eff = a.mean() * k ** (2.0 - p)
+            omega = (m.sum() / sech_mass(1.0, a_eff, p)) ** (2 * (p - 1) / (3 - p))
             c = np.fmin(np.fmax(np.sqrt(omega) * (p - 1), 1 / grid.length), 1 / h)
             # peak 2^e with h 4^e >= 1: each row's mass is at least 1, so the
             # projection's target / mass stays finite, and a power of two
@@ -201,7 +208,7 @@ def _initial_array(model: CouplingModel, masses: MassTriple, grid: Grid,
             e = max(0, math.ceil(-math.log2(h) / 2))
             u = np.empty((k, grid.n))
             u[:] = np.ldexp((1.0 / np.cosh(c * grid.nodes)) ** (1.0 / (p - 1)), e)
-    return _project(u, targets[live], grid.spacing)
+    return live, m, a, _project(u, m, grid.spacing)
 
 
 def _residual_target(grid: Grid, tol: float) -> float:
@@ -232,17 +239,13 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
     mass underflows below the smallest normal float on the grid;
     `StepCollapseError` if the iterate leaves the finite range.
     """
-    targets = masses.as_array()
-    live = np.flatnonzero(targets > 0)
-    m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
-    n, h = grid.n, grid.spacing
+    live, m, a, u = _initial_array(model, masses, grid, cfg.initial_state)
+    p, n, h = model.p, grid.n, grid.spacing
     k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, cfg.residual_tol)
-    u = _initial_array(model, masses, grid, cfg.initial_state)  # (k, n) real: live rows
 
-    size = u.size  # mixing history over the flat iterate
-    dX, dF = np.empty((_DEPTH, size)), np.empty((_DEPTH, size))
-    x_prev, f_prev = np.empty(size), np.empty(size)
+    # mixing history: a ring of differences of the flat iterate and its step
+    dX, dF = np.empty((_DEPTH, u.size)), np.empty((_DEPTH, u.size))
     count = -1  # differences recorded; -1 before the first iterate
     plain = None  # the unmixed step behind the current mixed iterate
 
@@ -286,8 +289,7 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         if count >= 0:
             np.subtract(x, x_prev, out=dX[count % _DEPTH])
             np.subtract(f, f_prev, out=dF[count % _DEPTH])
-        x_prev[:] = x
-        f_prev[:] = f
+        x_prev, f_prev = x, f  # references: nothing writes either in place
         count += 1
         if count == 0:
             u, plain = g, None
@@ -299,7 +301,6 @@ def minimize(model: CouplingModel, masses: MassTriple, grid: Grid,
         mixed = gx - gamma @ dX[:len(F)]
         mixed -= gamma @ F
         u, plain = _project(mixed.reshape(g.shape), m, h), g
-        del f, mixed  # free before the next step: lower peak memory
 
     dX = dF = x_prev = f_prev = F = None  # released before lambda is formed
     if not res < target:
@@ -360,14 +361,11 @@ def refine_fixed_point(state: State, model: CouplingModel,
     `_MAX_SWEEPS` sweeps.
     """
     grid = state.grid
-    n, h = grid.n, grid.spacing
-    targets = masses.as_array()
-    live = np.flatnonzero(targets > 0)
-    m, a, p = targets[live], model.a[np.ix_(live, live)], model.p
+    live, m, a, u = _initial_array(model, masses, grid, state)
+    p, n, h = model.p, grid.n, grid.spacing
     k2 = grid.wavenumbers[:n // 2 + 1] ** 2  # the half spectrum's
     target = _residual_target(grid, 1e-11)
-    u = _initial_array(model, masses, grid, state)  # (k, n) real: the live rows
-    w, res = _multiplier_array(u, grid, a, p), np.inf
+    w = _multiplier_array(u, grid, a, p)
     for sweeps in range(1, _MAX_SWEEPS + 1):
         if not np.all(w > 0):
             raise DivergenceError(f"multiplier {_embed(w, live, np.nan)} "

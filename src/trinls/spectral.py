@@ -97,13 +97,15 @@ def make_grid(n: int, length: float) -> Grid:
     """Build a periodic grid with nodes centered at 0.
 
     n must be an integer power of two, 16 <= n <= 2**62 (numpy's index
-    range); length must be finite and positive, with length / n > 0.
+    range); length must be finite and positive, with length / n > 0, and at
+    most 2**512, the largest box whose node squares are finite.
     """
     check_args(("n", n, is_integer, "an integer"),
                ("n", n, lambda n: n >= 16 and n & (n - 1) == 0, "a power of two >= 16"),
                ("n", n, lambda n: n <= 2 ** 62, "<= 2**62"),
                ("length", length, lambda length: is_finite(length) and length / n > 0,
-                f"finite, with length / {n} > 0"))
+                f"finite, with length / {n} > 0"),
+               ("length", length, lambda length: float(length) <= 2 ** 512, "<= 2**512"))
     h = length / n
     x = -length / 2 + h * np.arange(n)
     k = 2 * np.pi * np.fft.fftfreq(n, d=h)

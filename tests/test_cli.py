@@ -395,6 +395,64 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: grid: ")
 
+    @pytest.mark.parametrize("command", ["solve", "evolve", "stability", "subadd"])
+    def test_box_too_long_for_its_node_squares(self, tmp_path, capsys, command):
+        # past 2**512 the node squares overflow, and above 6.7e154 the
+        # random perturbations' width square (L / 5)^2, a Python float
+        # power, raises OverflowError: every command rejects the box at load
+        text = STAB_CFG.replace("length = 40.0", "length = 1e300")
+        cfg = write_config(tmp_path, text + "\n[subadd]\nsplits = 1,1,1\n")
+        args = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "evolve":
+            args += ["--profile", str(tmp_path / "p.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "config error: grid.length must be <= 2**512, got 1e+300\n")
+
+    @pytest.mark.parametrize("command", ["solve", "stability", "subadd"])
+    @pytest.mark.parametrize("length, masses, p, coupling, kind", [
+        (2.0 ** 512, (1.0, 1.0, 1.0), 2.999, 1.0, "random_h1"),
+        (2.0 ** 512, (1e300, 0.0, 0.0), 2.0, 5e-324, "component_tilt"),
+        (2.0 ** 512, (1e-300,) * 3, 2.999, 5e-324, "mass_preserving_random"),
+        (1e-150, (1e-300, 0.0, 0.0), 2.0, 1.0, "random_h1"),
+        (1e-150, (1e300, 1e-300, 1.0), 2.999, 5e-324, "component_tilt"),
+    ])
+    def test_extreme_accepted_values_end_without_traceback(
+            self, tmp_path, command, length, masses, p, coupling, kind):
+        # every accepted value ends in a documented exit code: a solve or a
+        # run that fails is exit 2 or 3, not an exception out of main (and
+        # not exit 1: the config is accepted)
+        coupling_rows = "".join(f"a{jk} = {coupling!r}\n"
+                                for jk in ("11", "12", "13", "22", "23", "33"))
+        r, s, m3 = masses
+        text = f"""\
+[grid]
+n = 16
+length = {length!r}
+[coupling]
+{coupling_rows}p = {p!r}
+[masses]
+r = {r!r}
+s = {s!r}
+t = {m3!r}
+[evolution]
+t = 0.01
+dt = 1e-3
+snapshot_every = 0
+[stability]
+kind = {kind}
+delta = 1e-3
+seeds = 0
+sample_every = 5
+[subadd]
+splits = {r / 2!r},{s / 2!r},{m3 / 2!r}
+"""
+        cfg = write_config(tmp_path, text)
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--quiet"])
+        assert code in (0, 2, 3)
+
     @pytest.mark.parametrize("command", ["evolve", "stability"])
     def test_run_too_long_to_record(self, tmp_path, capsys, monkeypatch, command):
         # t / dt = 1e15 steps, each one recorded: numpy refuses the 8 PB

@@ -100,7 +100,7 @@ class TestSechStart:
         # under- or overflows, or is NaN (total mass inf, sech mass inf); at
         # width 1/h a mass of 1.7e308 still projects to finite samples
         model = t.CouplingModel(np.full((3, 3), coupling), p)
-        u = _initial_array(model, t.MassTriple(*masses), grid40, None)
+        u = _initial_array(model, t.MassTriple(*masses), grid40, None)[-1]
         assert u.shape == (np.count_nonzero(masses), grid40.n)
         assert np.all(np.isfinite(u)) and np.all(u.max(axis=1) > 0)
 

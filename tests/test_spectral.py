@@ -46,6 +46,16 @@ class TestGrid:
         assert str(info.value) == (
             f"length must be finite, with length / 64 > 0, got {length!r}")
 
+    def test_length_at_most_two_to_the_512(self):
+        # the largest box whose node squares (and the perturbations' width
+        # squares, (L / 5)^2) are finite
+        g = t.make_grid(16, 2.0 ** 512)
+        assert g.length == 2.0 ** 512 and np.all(np.isfinite(g.nodes ** 2))
+        above = float(np.nextafter(2.0 ** 512, np.inf))
+        with pytest.raises(ValueError) as info:
+            t.make_grid(16, above)
+        assert str(info.value) == f"length must be <= 2**512, got {above!r}"
+
     def test_wavenumber_layout(self, grid40):
         k = grid40.wavenumbers
         assert k[0] == 0.0
